@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import InvalidNetworkError, Network
+from .model import InvalidNetworkError, Network, _graph_diameter
 
 __all__ = [
     "AuxiliaryGraph",
@@ -65,20 +65,7 @@ class AuxiliaryGraph:
     @cached_property
     def diameter(self) -> int:
         """Longest shortest path between two sources (0 for a single node)."""
-        best = 0
-        for start in range(self.num_sources):
-            dist = {start: 0}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in self.neighbors[u]:
-                        if v not in dist:
-                            dist[v] = dist[u] + 1
-                            nxt.append(v)
-                frontier = nxt
-            best = max(best, max(dist.values()))
-        return best
+        return _graph_diameter(self.neighbors)
 
     def neighborhood(self, i: int, hops: int) -> frozenset:
         """Sources within the given number of edges of source i."""

@@ -18,11 +18,7 @@ import numpy as np
 
 from .model import Network
 from .metrics import MessageMetrics
-from .splitting import (
-    build_splitting,
-    dual_step_matrix,
-    init_dual_state,
-)
+from .splitting import SplittingData, dual_step_matrix
 
 __all__ = [
     "ErrorCertificate",
@@ -82,7 +78,7 @@ class DualControlConfig:
             raise ValueError("stage-1 budget T must be at least 1")
 
 
-def stage1_beta(network, hessian_diag, w_t, w_t1, big_pi0, big_pi_t, F, p) -> float:
+def stage1_beta(network, w_t, w_t1, big_pi0, big_pi_t, F, p) -> float:
     """Certified squared relative-error margin for the prices w_t.
 
     Per source:  rho_i = sqrt(L) * Pi0_i * ||w_t1 - w_t||_inf / ((1-F) |Pi_t_i|)
@@ -160,10 +156,15 @@ def max_consensus(values, neighbors, rounds: int | None = None):
     return v, used
 
 
+def _weighted_route_price(network: Network, hessian_diag, w) -> np.ndarray:
+    """Per source: the sum of w over its route, divided by its curvature."""
+    return (network.routing.T @ w) / hessian_diag[: network.num_sources]
+
+
 def run_dual_with_error_control(
     network: Network,
     hessian_diag,
-    grad,
+    split: SplittingData,
     cfg: DualControlConfig,
     warm_start_w=None,
     metrics: MessageMetrics | None = None,
@@ -180,25 +181,21 @@ def run_dual_with_error_control(
     continues, so the returned pair always satisfies both stage bounds
     together.
 
+    split is the splitting of the dual system at the current primal point
+    (build_splitting of hessian_diag and the gradient).
+
     Returns (accepted prices, ErrorCertificate).
     """
     H = np.asarray(hessian_diag, dtype=float)
-    g = np.asarray(grad, dtype=float)
     S = network.num_sources
-    split = build_splitting(network, H, g)
+    ones = np.ones(network.num_links)
     if warm_start_w is None:
-        warm_start_w = np.ones(network.num_links)
-    state = init_dual_state(network, H, warm_start_w)
-    big_pi0 = state.weighted_price0
-    pi0 = network.routing.T @ np.ones(network.num_links)
+        warm_start_w = ones
+    pi0 = network.routing.T @ ones
+    big_pi0 = _weighted_route_price(network, H, ones)
     if metrics is not None:
         metrics.count_init_exchange(S)
     diam = network.comm_diameter
-
-    hinv_src = 1.0 / H[:S]
-
-    def weighted_price(w):
-        return hinv_src * (network.routing.T @ w)
 
     def consensus_cost(times=1):
         if metrics is not None:
@@ -217,7 +214,8 @@ def run_dual_with_error_control(
             metrics.count_dual_round(S)
 
     beta = stage1_beta(
-        network, H, w_prev, w_cur, big_pi0, weighted_price(w_prev), cfg.F, cfg.p
+        network, w_prev, w_cur, big_pi0, _weighted_route_price(network, H, w_prev),
+        cfg.F, cfg.p,
     )
     consensus_cost(2)  # one pass for the price change, one for beta
 
@@ -242,8 +240,8 @@ def run_dual_with_error_control(
             )
         if np.abs(w_cur - w_prev).max() <= h:
             beta_final = stage1_beta(
-                network, H, w_prev, w_cur, big_pi0, weighted_price(w_prev),
-                cfg.F, cfg.p,
+                network, w_prev, w_cur, big_pi0,
+                _weighted_route_price(network, H, w_prev), cfg.F, cfg.p,
             )
             consensus_cost(1)
             if beta_final >= 1.0:

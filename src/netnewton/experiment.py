@@ -234,7 +234,7 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonSummary:
             )
             try:
                 if method == "newton":
-                    config = SolverConfig(a=spec.a, seed=spec.seed, store_iterates=False)
+                    config = SolverConfig(a=spec.a, store_iterates=False)
                     res = two_pass_solve(net, config)
                     row.counted_iters = res.total_dual_iters
                     row.iters_to_band = _newton_band_entry(res, h_ref, 0.05)

@@ -228,22 +228,6 @@ def _graph_diameter(neighbors) -> int:
     return diam
 
 
-def _links_connected(routing: np.ndarray) -> bool:
-    """Links form one component under the shares-a-flow adjacency."""
-    L = routing.shape[0]
-    adj = (routing @ routing.T) > 0
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(adj[i])[0]:
-            j = int(j)
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == L
-
-
 def build_network(routing, capacities, utilities, routes=None) -> Network:
     """Validate and assemble a Network.
 
@@ -270,12 +254,6 @@ def build_network(routing, capacities, utilities, routes=None) -> Network:
         raise InvalidNetworkError("every source must traverse at least one link")
     if np.any(c <= 0):
         raise InvalidNetworkError("capacities must be strictly positive")
-    if not _links_connected(R):
-        raise InvalidNetworkError("links are not connected under shared flows")
-
-    s_max = float(c.max())
-    for i, u in enumerate(utilities):
-        _check_utility(u, s_max, i)
 
     if routes is None:
         routes = tuple(
@@ -290,7 +268,13 @@ def build_network(routing, capacities, utilities, routes=None) -> Network:
                 )
 
     net = Network(_frozen(R), _frozen(c), tuple(utilities), routes)
-    net.comm_diameter  # forces the connectivity check on the exchange graph
+    # With no unused link and no unrouted source, the links hang together
+    # under shared flows exactly when the exchange graph is connected.
+    net.comm_diameter
+
+    s_max = float(c.max())
+    for i, u in enumerate(utilities):
+        _check_utility(u, s_max, i)
     return net
 
 

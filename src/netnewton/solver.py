@@ -30,7 +30,7 @@ from .model import (
     feasibility_residual,
     feasible_init,
 )
-from .splitting import build_dual_graph, spectral_radius, spectral_diagnostics
+from .splitting import DualGraph, build_splitting, spectral_diagnostics, spectral_radius
 
 __all__ = [
     "SolverConfig",
@@ -79,7 +79,6 @@ class SolverConfig:
     theta_term: float = 1e-8
     max_primal_iters: int = 200
     a: float = 0.01
-    seed: int = 0
     tau_noise: float = 0.0
     dual_iter_cap: int = 10**6
     dual_warm_start: bool = True
@@ -179,15 +178,16 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
     for k in range(config.max_primal_iters):
         g = eval_grad(problem, x)
         H = eval_hessian_diag(problem, x)
-        lam1 = spectral_radius(build_dual_graph(net, H))
+        split = build_splitting(net, H, g)
+        lam1 = spectral_radius(DualGraph.from_splitting(split))
         # 5% headroom above the measured contraction factor, but never more
-        # pessimistic than halving its gap to 1
-        F = min(max(1.05 * lam1, 1e-6), 0.5 * (1.0 + lam1), 0.999)
+        # pessimistic than halving its gap to 1, which keeps F in [lam1, 1)
+        F = min(max(1.05 * lam1, 1e-6), 0.5 * (1.0 + lam1))
         T = config.T if config.T is not None else max(2, math.ceil(math.log(0.1) / math.log(F)))
         dual_cfg = DualControlConfig(
             T=T, p=config.p, epsilon=config.epsilon, F=F, iter_cap=config.dual_iter_cap
         )
-        w, cert = run_dual_with_error_control(net, H, g, dual_cfg, w_warm, metrics)
+        w, cert = run_dual_with_error_control(net, H, split, dual_cfg, w_warm, metrics)
         direction = primal_direction(net, H, g, w)
         theta, sum_rounds = compute_theta(net, aux, direction.delta, H)
         metrics.summation_rounds += sum_rounds
@@ -581,7 +581,7 @@ def trace_to_json(result: SolveResult, config: SolverConfig | None = None) -> di
         doc["config"] = {
             "mu": config.mu, "p": config.p, "epsilon": config.epsilon,
             "V": config.V, "b": config.b, "theta_term": config.theta_term,
-            "a": config.a, "seed": config.seed,
+            "a": config.a,
         }
     for rec in result.trace:
         row = {

@@ -107,12 +107,18 @@ def solve_dual_exact(network: Network, hessian_diag, grad) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # per-link form of the iteration
+#
+# The solver sweeps in matrix form (dual_step_matrix). The per-link form
+# below is its oracle: it computes each link's update from route aggregates
+# alone, and acceptance criterion 2 and tests/test_splitting.py check the
+# matrix sweep against it.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class DualState:
-    """Prices plus the route aggregates each participant would hold.
+    """Prices plus the route aggregates each participant would hold, as the
+    per-link oracle carries them between sweeps.
 
     route_price[i]     = sum of w over the links of source i,
     weighted_price[i]  = route_price[i] / H_ii,
@@ -135,9 +141,9 @@ def _route_aggregates(network: Network, hessian_diag, w):
 
 
 def init_dual_state(network: Network, hessian_diag, w_init) -> DualState:
-    """Run the initialization exchange: aggregate the all-ones price along
-    every route, scale by the local inverse Hessian, then install the
-    starting prices w_init."""
+    """Per-link oracle: run the initialization exchange (aggregate the
+    all-ones price along every route, scale by the local inverse Hessian),
+    then install the starting prices w_init."""
     ones = np.ones(network.num_links)
     _, big_pi0 = _route_aggregates(network, hessian_diag, ones)
     w = np.array(w_init, dtype=float)
@@ -150,7 +156,8 @@ def init_dual_state(network: Network, hessian_diag, w_init) -> DualState:
 def dual_step_distributed(
     network: Network, hessian_diag, grad, state: DualState
 ) -> DualState:
-    """One price sweep computed link by link from route aggregates only.
+    """Per-link oracle: one price sweep computed link by link from route
+    aggregates only.
 
     Each link l sees: its own slack curvature and gradient entry, and the
     sums over the sources crossing it of 1/H_ii, of the weighted route
@@ -211,13 +218,17 @@ class DualGraph:
     def adjacency(self) -> np.ndarray:
         return self.weights + self.weights.T > 0
 
+    @classmethod
+    def from_splitting(cls, split: SplittingData) -> "DualGraph":
+        """The coupling graph of a split; it does not depend on its rhs."""
+        weights = split.bk / split.denom[:, None]
+        m = (np.diag(split.bbar) - split.bk) / split.denom[:, None]
+        return cls(weights=weights, iteration_matrix=m, denom=split.denom.copy())
 
-def build_dual_graph(network: Network, hessian_diag, grad=None) -> DualGraph:
-    g = np.zeros(network.num_sources + network.num_links) if grad is None else grad
-    split = build_splitting(network, hessian_diag, g)
-    weights = split.bk / split.denom[:, None]
-    m = (np.diag(split.bbar) - split.bk) / split.denom[:, None]
-    return DualGraph(weights=weights, iteration_matrix=m, denom=split.denom.copy())
+
+def build_dual_graph(network: Network, hessian_diag) -> DualGraph:
+    zero_grad = np.zeros(network.num_sources + network.num_links)
+    return DualGraph.from_splitting(build_splitting(network, hessian_diag, zero_grad))
 
 
 def spectral_radius(graph: DualGraph) -> float:

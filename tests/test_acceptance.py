@@ -215,7 +215,8 @@ def test_criterion_06_error_control_soundness():
             dual_cfg = DualControlConfig(
                 T=int(rng.integers(1, 10)), p=1e-3, epsilon=1e-4, F=F
             )
-            w, cert = run_dual_with_error_control(net, H, g, dual_cfg)
+            split = build_splitting(net, H, g)
+            w, cert = run_dual_with_error_control(net, H, split, dual_cfg)
             exact, _ = kkt_direction(net, H, g)
             inexact = primal_direction(net, H, g, w).delta
             gamma = exact - inexact

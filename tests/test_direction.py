@@ -5,6 +5,7 @@ from netnewton import (
     BarrierProblem,
     DualControlConfig,
     build_auxiliary_graph,
+    build_splitting,
     compute_theta,
     exact_decrement,
     inexact_decrement,
@@ -109,7 +110,8 @@ class TestDecrements:
             lam1 = spectral_radius(build_dual_graph(net, H))
             F = min(max(1.05 * lam1, 1e-6), 0.999)
             cfg = DualControlConfig(T=5, p=p, epsilon=eps, F=F)
-            w, _ = run_dual_with_error_control(net, H, g, cfg)
+            split = build_splitting(net, H, g)
+            w, _ = run_dual_with_error_control(net, H, split, cfg)
             lam_tilde = primal_direction(net, H, g, w).decrement
             lam = exact_decrement(net, H, g)
             assert (1 - p) * lam_tilde - np.sqrt(eps) <= lam + 1e-12

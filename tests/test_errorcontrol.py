@@ -39,7 +39,7 @@ class TestStage1:
         w_star = solve_dual_exact(two_flow_network, H, g)
         pi0 = (1 / H[:2]) * (two_flow_network.routing.T @ np.ones(5))
         pit = (1 / H[:2]) * (two_flow_network.routing.T @ w_star)
-        beta = stage1_beta(two_flow_network, H, w_star, w_star, pi0, pit, F=0.5, p=1e-3)
+        beta = stage1_beta(two_flow_network, w_star, w_star, pi0, pit, F=0.5, p=1e-3)
         assert beta == np.inf
 
     def test_minimal_instance_closed_form(self, tiny_network):
@@ -51,7 +51,7 @@ class TestStage1:
         F, p = 0.4, 0.1
         # single source and single link share the same aggregates here
         rho = np.sqrt(1) * pi0[0] * 0.5 / ((1 - F) * abs(pit[0]))
-        beta = stage1_beta(tiny_network, H, w_t, w_t1, pi0, pit, F, p)
+        beta = stage1_beta(tiny_network, w_t, w_t1, pi0, pit, F, p)
         assert beta == pytest.approx((rho / p) ** -2, rel=1e-12)
 
     def test_certified_margin_bounds_direction_error(self):
@@ -68,7 +68,7 @@ class TestStage1:
             w_next = dual_step_matrix(split, w)
             pi0 = (1 / H[: net.num_sources]) * (net.routing.T @ np.ones(net.num_links))
             pit = (1 / H[: net.num_sources]) * (net.routing.T @ w)
-            beta = stage1_beta(net, H, w, w_next, pi0, pit, F, p)
+            beta = stage1_beta(net, w, w_next, pi0, pit, F, p)
             err, inexact = assumption_error(net, H, g, w)
             lam_sq = float(np.sum(inexact * inexact * H))
             if np.isfinite(beta):
@@ -163,7 +163,8 @@ class TestRunWithErrorControl:
         _, H, g = init_state(two_flow_network)
         w_star = solve_dual_exact(two_flow_network, H, g)
         cfg = DualControlConfig(T=4, p=1e-3, epsilon=1e-4, F=control_setup(two_flow_network, H))
-        w, cert = run_dual_with_error_control(two_flow_network, H, g, cfg, w_star)
+        split = build_splitting(two_flow_network, H, g)
+        w, cert = run_dual_with_error_control(two_flow_network, H, split, cfg, w_star)
         assert cert.stage == 1
         assert cert.beta == np.inf
         assert cert.dual_iters == 4
@@ -172,7 +173,8 @@ class TestRunWithErrorControl:
     def test_tiny_budget_falls_through_to_stage2(self, two_flow_network):
         _, H, g = init_state(two_flow_network)
         cfg = DualControlConfig(T=1, p=1e-3, epsilon=1e-4, F=control_setup(two_flow_network, H))
-        w, cert = run_dual_with_error_control(two_flow_network, H, g, cfg)
+        split = build_splitting(two_flow_network, H, g)
+        w, cert = run_dual_with_error_control(two_flow_network, H, split, cfg)
         assert cert.stage == 2
         assert cert.h_threshold is not None
         err, inexact = assumption_error(two_flow_network, H, g, w)
@@ -188,7 +190,8 @@ class TestRunWithErrorControl:
                 T=int(rng.integers(1, 12)), p=1e-3, epsilon=1e-4,
                 F=control_setup(net, H),
             )
-            w, cert = run_dual_with_error_control(net, H, g, cfg)
+            split = build_splitting(net, H, g)
+            w, cert = run_dual_with_error_control(net, H, split, cfg)
             err, inexact = assumption_error(net, H, g, w)
             lam_sq = float(np.sum(inexact * inexact * H))
             assert err <= cfg.p**2 * lam_sq + cfg.epsilon + 1e-12, cert
@@ -216,14 +219,16 @@ class TestRunWithErrorControl:
         cfg = DualControlConfig(
             T=1, p=1e-9, epsilon=1e-18, F=control_setup(two_flow_network, H), iter_cap=3
         )
+        split = build_splitting(two_flow_network, H, g)
         with pytest.raises(RuntimeError, match="cap"):
-            run_dual_with_error_control(two_flow_network, H, g, cfg)
+            run_dual_with_error_control(two_flow_network, H, split, cfg)
 
     def test_metrics_accounting(self, two_flow_network):
         _, H, g = init_state(two_flow_network)
         metrics = MessageMetrics()
         cfg = DualControlConfig(T=3, p=1e-3, epsilon=1e-4, F=control_setup(two_flow_network, H))
-        w, cert = run_dual_with_error_control(two_flow_network, H, g, cfg, metrics=metrics)
+        split = build_splitting(two_flow_network, H, g)
+        w, cert = run_dual_with_error_control(two_flow_network, H, split, cfg, metrics=metrics)
         assert metrics.dual_rounds == cert.dual_iters
         assert metrics.dual_feedbacks == 2 * metrics.dual_rounds  # S = 2
         assert metrics.consensus_execs >= 2

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netnewton
 from netnewton import (
     BarrierProblem,
     MessageMetrics,
@@ -210,10 +213,13 @@ class TestCli:
         assert (tmp_path / "outputs" / "runs" / "trace.csv").exists()
 
     def test_entry_point_runs(self):
+        # the child imports the same netnewton as this process, installed or not
+        src = str(Path(netnewton.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "netnewton.cli", "gen", "--links", "3",
              "--sources", "2", "--seed", "1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         json.loads(proc.stdout)

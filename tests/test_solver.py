@@ -1,15 +1,21 @@
+import sys
+
 import numpy as np
 import pytest
 
+import netnewton
 from netnewton import (
     BarrierProblem,
     LogUtility,
     SolverConfig,
+    build_dual_graph,
     build_network,
+    eval_hessian_diag,
     newton_solve,
     phase_diagnostics,
     reference_optimum,
     reference_solve,
+    spectral_radius,
     stepsize_rule,
     two_pass_solve,
 )
@@ -130,6 +136,43 @@ class TestNewtonSolve:
     def test_dual_counter_matches_trace(self, two_flow_network):
         res = newton_solve(BarrierProblem(two_flow_network, 1.0), SolverConfig())
         assert res.total_dual_iters == sum(rec.dual_iters for rec in res.trace)
+
+    def test_one_splitting_per_primal_step(self, monkeypatch):
+        # count calls under every netnewton module that binds each function
+        names = ("build_splitting", "build_dual_graph", "init_dual_state")
+        calls = dict.fromkeys(names, 0)
+        modules = [m for n, m in list(sys.modules.items())
+                   if m is not None and (n == "netnewton" or n.startswith("netnewton."))]
+        for name in names:
+            original = getattr(netnewton.splitting, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for mod in modules:
+                if mod.__dict__.get(name) is original:
+                    monkeypatch.setattr(mod, name, counted)
+        net = draw_network(np.random.default_rng(3))
+        res = newton_solve(BarrierProblem(net, 1.0), SolverConfig())
+        assert res.primal_iters > 1
+        assert calls == {
+            "build_splitting": res.primal_iters,
+            "build_dual_graph": 0,
+            "init_dual_state": 0,
+        }
+
+    def test_contraction_factor_never_below_lambda1(self):
+        # two links crossed by the same two sources: with a utility scale of
+        # 1e4 the price iteration's contraction factor climbs above 0.999
+        net = build_network([[1, 1], [1, 1]], [1.0, 1.0], [LogUtility(1.0)] * 2)
+        problem = BarrierProblem(net, 1.0, 1e4)
+        res = newton_solve(problem, SolverConfig())
+        assert res.converged
+        for rec in res.trace:
+            H = eval_hessian_diag(problem, rec.x)
+            lam1 = spectral_radius(build_dual_graph(net, H))
+            assert rec.certificate.F >= lam1, (rec.k, rec.certificate.F, lam1)
 
     def test_theta_noise_plumbing(self, two_flow_network):
         cfg = SolverConfig(tau_noise=0.01)
