@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import InvalidNetworkError, Network, _graph_diameter
+from .model import InvalidNetworkError, Network, _frozen, _graph_diameter
 
 __all__ = [
     "AuxiliaryGraph",
@@ -34,8 +34,7 @@ class AuxiliaryGraph:
 
     theta[l] is the ordered ownership set of link l (insertion order of the
     construction). edges holds (i, j, label) with i < j. l_star is the set
-    of links whose ownership set has more than one source; l_star_of[i]
-    restricts it to the links owning source i.
+    of links whose ownership set has more than one source.
     """
 
     num_sources: int
@@ -48,11 +47,15 @@ class AuxiliaryGraph:
         return frozenset(l for l, owners in enumerate(self.theta) if len(owners) > 1)
 
     @cached_property
-    def l_star_of(self) -> tuple:
-        return tuple(
-            frozenset(l for l in self.l_star if i in self.theta[l])
-            for i in range(self.num_sources)
-        )
+    def owner_incidence(self) -> np.ndarray:
+        """L x S matrix with entry (l, i) = 1 when source i is in theta[l]."""
+        return _frozen([[i in t for i in range(self.num_sources)] for t in self.theta])
+
+    @cached_property
+    def l_star_incidence(self) -> np.ndarray:
+        """owner_incidence with the rows of links outside l_star zeroed."""
+        in_l_star = [[l in self.l_star] for l in range(len(self.theta))]
+        return _frozen(self.owner_incidence * in_l_star)
 
     @cached_property
     def neighbors(self) -> tuple:
@@ -217,21 +220,16 @@ def distributed_sum(
     zs = np.asarray(z_star, dtype=float)
     if ys.shape != (S,) or zs.shape != (L,):
         raise ValueError("inputs must be one value per source and per link")
-    y = ys + np.array([sum(zs[l] for l in network.routes[i]) for i in range(S)])
+    z_over = aux.owner_incidence.sum(axis=1) - 1
+    y_over = aux.l_star_incidence.sum(axis=0) - 1
+    y = ys + network.routing.T @ zs
     z = np.zeros(L)
-    y_hist, z_hist = [y.copy()], [z.copy()]
+    y_hist, z_hist = [y], [z]
     for _ in range(rounds if rounds is not None else S):
-        z_new = np.empty(L)
-        for l in range(L):
-            owners = aux.theta[l]
-            z_new[l] = sum(y[i] for i in owners) - (len(owners) - 1) * z[l]
-        y_new = np.empty(S)
-        for i in range(S):
-            owning = aux.l_star_of[i]
-            y_new[i] = sum(z_new[l] for l in owning) - (len(owning) - 1) * y[i]
-        y, z = y_new, z_new
-        y_hist.append(y.copy())
-        z_hist.append(z.copy())
+        z = aux.owner_incidence @ y - z_over * z
+        y = aux.l_star_incidence.T @ z - y_over * y
+        y_hist.append(y)
+        z_hist.append(z)
     return SummationRun(np.array(y_hist), np.array(z_hist), rounds=len(y_hist) - 1)
 
 

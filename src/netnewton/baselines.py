@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Network
+from .model import Network, utility_terms
 
 __all__ = [
     "FirstOrderConfig",
@@ -84,81 +84,44 @@ def subgradient_family_stepsize(network: Network, safety: float = 0.9) -> float:
     R = network.routing
     longest_route = float(R.sum(axis=0).max())
     busiest_link = float(R.sum(axis=1).max())
-    cap = float(network.capacities.max())
-    curv = max(
-        float(-1.0 / u.d2(cap)) for u in network.utilities
-    )
+    cap = np.full(network.num_sources, float(network.capacities.max()))
+    curv = float((-1.0 / utility_terms(network, "d2", cap)).max())
     return safety * 2.0 / (longest_route * busiest_link * curv)
 
 
 def _best_response(network: Network, prices: np.ndarray, cap: float) -> np.ndarray:
     """Rates maximizing utility minus route price, clamped to [0, cap]."""
     route_price = network.routing.T @ prices
-    s = np.empty(network.num_sources)
-    for i, u in enumerate(network.utilities):
-        if route_price[i] > 1e-12:
-            s[i] = min(max(u.inverse_d1(route_price[i]), 0.0), cap)
-        else:
-            s[i] = cap
-    return s
-
-
-def _log_weights(network: Network):
-    """Weight vector when every utility is logarithmic, else None; lets the
-    long price runs use closed-form array updates."""
-    from .model import LogUtility
-
-    if all(type(u) is LogUtility for u in network.utilities):
-        return np.array([u.weight for u in network.utilities])
-    return None
+    s = utility_terms(network, "inverse_d1", np.maximum(route_price, 1e-12))
+    return np.where(route_price > 1e-12, np.minimum(np.maximum(s, 0.0), cap), cap)
 
 
 def _price_iteration(
-    network: Network,
-    config: FirstOrderConfig,
-    h_ref: float | None,
-    scaled: bool,
-    unit_scaling: bool,
+    network: Network, config: FirstOrderConfig, h_ref: float | None, scaled: bool
 ) -> FirstOrderResult:
     R = network.routing
     c = network.capacities
     cap = config.rate_cap if config.rate_cap is not None else 2.0 * float(c.max())
     w = np.zeros(network.num_links)
-    weights = _log_weights(network)
     h_hist, slack_hist = [], []
     stable = 0
     h_prev = None
     converged = False
     iterations = config.max_iters
     for k in range(1, config.max_iters + 1):
-        if weights is not None:
-            price = R.T @ w
-            s = np.where(price > 1e-12, np.minimum(weights / np.maximum(price, 1e-12), cap), cap)
-        else:
-            s = _best_response(network, w, cap)
+        s = _best_response(network, w, cap)
         overload = R @ s - c
-        if scaled and not unit_scaling:
-            if weights is not None:
-                resp = s * s / weights
-            else:
-                resp = np.array(
-                    [-1.0 / network.utilities[i].d2(s[i]) for i in range(network.num_sources)]
-                )
-            curv = R @ resp
+        if scaled:
+            curv = R @ (-1.0 / utility_terms(network, "d2", s))
             step = config.stepsize * overload / np.maximum(curv, config.curvature_floor)
         else:
             step = config.stepsize * overload
         w = np.maximum(0.0, w + step)
-        if not np.all(np.isfinite(w)) or w.max() > 1e12:
+        if not w.max() <= 1e12:  # also catches nan
             raise RuntimeError(
                 f"price iteration diverged at step {k}; reduce the stepsize"
             )
-        if weights is not None:
-            h = float(-(weights * np.log(np.maximum(s, 1e-300))).sum())
-        else:
-            h = -sum(
-                float(u.value(max(s[i], 1e-300))) for i, u in enumerate(network.utilities)
-            )
+        h = -float(utility_terms(network, "value", np.maximum(s, 1e-300)).sum())
         min_slack = float(-overload.max())
         h_hist.append(h)
         slack_hist.append(min_slack)
@@ -203,19 +166,12 @@ def subgradient_solve(
     network: Network, config: FirstOrderConfig, h_ref: float | None = None
 ) -> FirstOrderResult:
     """Projected price ascent: w <- max(0, w + stepsize * (load - capacity))."""
-    return _price_iteration(network, config, h_ref, scaled=False, unit_scaling=False)
+    return _price_iteration(network, config, h_ref, scaled=False)
 
 
 def diagonal_scaled_solve(
-    network: Network,
-    config: FirstOrderConfig,
-    h_ref: float | None = None,
-    unit_scaling: bool = False,
+    network: Network, config: FirstOrderConfig, h_ref: float | None = None
 ) -> FirstOrderResult:
     """Price ascent scaled per link by the inverse of the local curvature
-    estimate sum over crossing sources of 1 / |U''(s_i)| (floored).
-
-    With unit_scaling=True the scaling is forced to one, which reduces the
-    update to subgradient_solve exactly.
-    """
-    return _price_iteration(network, config, h_ref, scaled=True, unit_scaling=unit_scaling)
+    estimate sum over crossing sources of 1 / |U''(s_i)| (floored)."""
+    return _price_iteration(network, config, h_ref, scaled=True)

@@ -19,7 +19,6 @@ from .auxgraph import build_auxiliary_graph
 from .experiment import load_experiment_spec, random_network, run_comparison
 from .model import (
     BarrierProblem,
-    InvalidNetworkError,
     eval_hessian_diag,
     feasible_init,
     load_network,
@@ -190,7 +189,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InvalidNetworkError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"netnewton: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

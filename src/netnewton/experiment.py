@@ -13,6 +13,7 @@ never enter the headline count.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,10 +67,19 @@ class ExperimentSpec:
     outdir: str | None = None
 
     def __post_init__(self):
-        if self.trials < 1 or self.links < 1 or self.sources < 1:
-            raise ValueError("trials, links and sources must be positive")
-        if not 0 < self.bernoulli_p <= 1:
-            raise ValueError("bernoulli_p must lie in (0, 1]")
+        for name in ("trials", "links", "sources", "seed", "max_first_order_iters"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        reals = (self.bernoulli_p, self.a, *self.omega_range, *self.capacity_range)
+        if len(reals) != 6 or not all(isinstance(v, numbers.Real) for v in reals):
+            raise TypeError("bernoulli_p, a and both ends of each range must be numbers")
+        steps = (self.subgradient_stepsize, self.diagonal_stepsize)
+        if not all(isinstance(v, (numbers.Real, type(None))) for v in steps):
+            raise TypeError(f"stepsizes must be numbers or null, got {steps!r}")
+        if not isinstance(self.outdir, (str, type(None))):
+            raise TypeError(f"outdir must be a string, got {self.outdir!r}")
+        if self.trials < 1:
+            raise ValueError("trials must be positive")
         unknown = set(self.methods) - {"newton", "diagonal", "subgradient"}
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -77,12 +87,13 @@ class ExperimentSpec:
 
 def load_experiment_spec(path) -> ExperimentSpec:
     doc = json.loads(Path(path).read_text())
-    if "methods" in doc:
-        doc["methods"] = tuple(doc["methods"])
-    for key in ("omega_range", "capacity_range"):
-        if key in doc:
-            doc[key] = tuple(doc[key])
-    return ExperimentSpec(**doc)
+    try:
+        for key in ("methods", "omega_range", "capacity_range"):
+            if key in doc:
+                doc[key] = tuple(doc[key])
+        return ExperimentSpec(**doc)
+    except TypeError as exc:
+        raise ValueError(f"malformed experiment spec {path}: {exc}") from exc
 
 
 def random_network(
@@ -95,7 +106,16 @@ def random_network(
     max_redraws: int = 10**4,
 ) -> Network:
     """Draw a valid instance; the whole routing matrix is redrawn on any
-    structural rejection (unused link, unrouted source, split link graph)."""
+    structural rejection (unused link, unrouted source, split link graph).
+    Arguments that no draw could satisfy raise ValueError up front."""
+    if links < 1 or sources < 1:
+        raise ValueError("links and sources must be positive")
+    if not 0 < bernoulli_p <= 1:
+        raise ValueError("bernoulli_p must lie in (0, 1]")
+    if omega_range[0] < 1:
+        raise ValueError("log utility weights must be at least 1")
+    if capacity_range[0] <= 0:
+        raise ValueError("capacities must be strictly positive")
     rng = np.random.default_rng(seed)
     for _ in range(max_redraws):
         routing = (rng.random((links, sources)) < bernoulli_p).astype(float)

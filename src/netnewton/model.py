@@ -10,7 +10,7 @@ on the stacked vector x = (rates, slacks) of length S + L.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -29,6 +29,7 @@ __all__ = [
     "eval_grad",
     "eval_hessian_diag",
     "eval_h",
+    "utility_terms",
     "load_network",
     "save_network",
     "utility_from_dict",
@@ -119,12 +120,13 @@ def utility_from_dict(spec: dict):
     if kind not in UTILITY_FAMILIES:
         raise InvalidNetworkError(f"unknown utility family {kind!r}")
     params = {k: v for k, v in spec.items() if k != "family"}
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in params.values()):
+        raise InvalidNetworkError(f"utility parameters must be numbers, got {params}")
     return UTILITY_FAMILIES[kind](**params)
 
 
 def _check_utility(u, s_max: float, index: int) -> None:
     """Reject utilities that are not strictly concave, nondecreasing on the
-
     reachable rate range, or whose negation fails the self-concordance
     inequality |U'''| <= 2 (-U'')**1.5 on a logarithmic sample grid.
     """
@@ -203,6 +205,21 @@ class Network:
     @cached_property
     def comm_diameter(self) -> int:
         return _graph_diameter(self.comm_neighbors)
+
+    @cached_property
+    def utility_groups(self) -> tuple:
+        """Per utility family: (its source indices, one instance of its
+        dataclass whose parameters are arrays over those sources)."""
+        members = {}
+        for i, u in enumerate(self.utilities):
+            members.setdefault(type(u), []).append(i)
+        return tuple(
+            (np.array(idx), family(**{
+                f.name: np.array([getattr(self.utilities[i], f.name) for i in idx])
+                for f in fields(family)
+            }))
+            for family, idx in members.items()
+        )
 
     def __repr__(self):  # arrays make the default repr unusable
         return f"Network(L={self.num_links}, S={self.num_sources})"
@@ -361,25 +378,35 @@ def _split(problem: BarrierProblem, x):
     return vals, vals[:S], vals[S:]
 
 
+def utility_terms(network: Network, method: str, s) -> np.ndarray:
+    """Entry i is network.utilities[i].<method>(s[i]) for the utility method
+    named (value, d1, d2, d3 or inverse_d1), evaluated family by family."""
+    groups = network.utility_groups
+    if len(groups) == 1:
+        return getattr(groups[0][1], method)(s)
+    out = np.empty(network.num_sources)
+    for idx, stacked in groups:
+        out[idx] = getattr(stacked, method)(s[idx])
+    return out
+
+
 def eval_f(problem: BarrierProblem, x) -> float:
     vals, s, _ = _split(problem, x)
-    util = sum(float(u.value(s[i])) for i, u in enumerate(problem.network.utilities))
+    util = float(utility_terms(problem.network, "value", s).sum())
     return -problem.scale * util - problem.mu * float(np.sum(np.log(vals)))
 
 
 def eval_grad(problem: BarrierProblem, x) -> np.ndarray:
     vals, s, _ = _split(problem, x)
-    d1 = np.array([u.d1(s[i]) for i, u in enumerate(problem.network.utilities)])
     g = -problem.mu / vals
-    g[: len(s)] -= problem.scale * d1
+    g[: len(s)] -= problem.scale * utility_terms(problem.network, "d1", s)
     return g
 
 
 def eval_hessian_diag(problem: BarrierProblem, x) -> np.ndarray:
     vals, s, _ = _split(problem, x)
-    d2 = np.array([u.d2(s[i]) for i, u in enumerate(problem.network.utilities)])
     h = problem.mu / vals**2
-    h[: len(s)] -= problem.scale * d2
+    h[: len(s)] -= problem.scale * utility_terms(problem.network, "d2", s)
     if problem.mu == 0 and np.any(h <= 0):
         raise ValueError("hessian is not positive definite without the barrier")
     return h
@@ -387,9 +414,8 @@ def eval_hessian_diag(problem: BarrierProblem, x) -> np.ndarray:
 
 def eval_h(network: Network, x) -> float:
     """Negated total utility over the rate coordinates (no barrier, no scale)."""
-    vals = _as_values(x)
-    s = vals[: network.num_sources]
-    return -sum(float(u.value(s[i])) for i, u in enumerate(network.utilities))
+    s = _as_values(x)[: network.num_sources]
+    return -float(utility_terms(network, "value", s).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +452,13 @@ def load_network(path) -> Network:
         sources = doc["sources"]
         routes = [list(entry["route"]) for entry in sources]
         utilities = [utility_from_dict(entry["utility"]) for entry in sources]
-    except (KeyError, TypeError) as exc:
-        raise InvalidNetworkError(f"network file {path} is missing fields: {exc}") from exc
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise InvalidNetworkError(f"network file {path} is malformed: {exc}") from exc
     L, S = len(capacities), len(sources)
     routing = np.zeros((L, S))
     for i, route in enumerate(routes):
         for l in route:
-            if not 0 <= l < L:
-                raise InvalidNetworkError(f"route of source {i} names unknown link {l}")
+            if isinstance(l, bool) or not isinstance(l, int) or not 0 <= l < L:
+                raise InvalidNetworkError(f"route of source {i} names unknown link {l!r}")
             routing[l, i] = 1.0
     return build_network(routing, capacities, utilities, routes=routes)

@@ -4,6 +4,7 @@ import pytest
 from netnewton import (
     BarrierProblem,
     LogUtility,
+    QuadraticUtility,
     build_network,
     eval_grad,
     eval_hessian_diag,
@@ -23,6 +24,18 @@ TWO_FLOW_ROUTING = [
 @pytest.fixture
 def two_flow_network():
     return build_network(TWO_FLOW_ROUTING, [1, 1, 2, 1, 1], [LogUtility(1.0)] * 2)
+
+
+@pytest.fixture
+def mixed_network():
+    """Log and quadratic sources interleaved, so neither family's sources
+    are contiguous; every capacity sits below each quadratic break point."""
+    routing = [[1, 1, 0, 0, 1], [0, 1, 1, 1, 0], [1, 0, 1, 0, 1]]
+    utilities = [
+        LogUtility(2.0), QuadraticUtility(1.0, 0.01), LogUtility(3.0),
+        QuadraticUtility(2.0, 0.05), LogUtility(1.5),
+    ]
+    return build_network(routing, [5.0, 10.0, 8.0], utilities)
 
 
 @pytest.fixture

@@ -295,6 +295,7 @@ def test_criterion_09_barrier_error(solve_batch):
     report(9, "barrier gaps within mu and two-pass error within 1%")
 
 
+@pytest.mark.slow
 def test_criterion_10_comparison_study():
     started = time.perf_counter()
     spec = ExperimentSpec(trials=50, links=15, sources=8, bernoulli_p=0.5, seed=7)

@@ -67,7 +67,9 @@ class TestConstruction:
         assert aux.theta == ((0,), (1,), (0, 1), (0,), (1,))
         assert aux.edges == ((0, 1, 2),)
         assert aux.l_star == frozenset({2})
-        assert aux.l_star_of == (frozenset({2}), frozenset({2}))
+        np.testing.assert_array_equal(
+            aux.l_star_incidence, [[0, 0], [0, 0], [1, 1], [0, 0], [0, 0]]
+        )
         assert aux.rounds == two_flow_network.num_sources - 1
 
     def test_single_source(self, tiny_network):

@@ -54,6 +54,15 @@ class TestRandomNetwork:
             valid += len(seen) == 15
         assert valid / 10_000 > 0.9
 
+    @pytest.mark.parametrize("kwargs", [
+        {"links": 0}, {"sources": 0}, {"bernoulli_p": 0.0}, {"bernoulli_p": 1.5},
+        {"omega_range": (0.2, 0.5)}, {"capacity_range": (0.0, 5.0)},
+    ])
+    def test_impossible_arguments_rejected_before_drawing(self, kwargs):
+        args = dict(links=4, sources=3, bernoulli_p=0.5, seed=0, max_redraws=1)
+        with pytest.raises(ValueError):
+            random_network(**{**args, **kwargs})
+
     def test_redraw_cap(self):
         with pytest.raises(RuntimeError, match="draws"):
             # at this density a 20x20 draw with no empty column is hopeless
@@ -181,6 +190,40 @@ class TestCli:
 
     def test_missing_file_rejected(self):
         assert main(["solve", "/nonexistent/net.json"]) == 2
+
+    @pytest.mark.parametrize("route, utility", [
+        ([0.5], {"family": "log", "weight": 1.0}),
+        ([None], {"family": "log", "weight": 1.0}),
+        ([0], {"family": "log", "weight": "x"}),
+    ])
+    def test_malformed_network_fields_rejected(self, tmp_path, capsys, route, utility):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"links": [1.0], "sources": [
+            {"route": route, "utility": utility}]}))
+        assert main(["solve", str(bad)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc", [
+        {"trials": 1, "colour": "red"},
+        [1, 2],
+        {"trials": "many"},
+        {"trials": 1, "a": "x"},
+        {"trials": 1, "omega_range": [0.2, 0.5]},
+    ])
+    def test_malformed_spec_rejected(self, tmp_path, capsys, doc):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["compare", str(spec)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_directory_argument_rejected(self, tmp_path, capsys, command):
+        assert main([command, str(tmp_path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_impossible_gen_arguments_rejected(self, capsys):
+        assert main(["gen", "--links", "0", "--sources", "2"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_spectra_report(self, tmp_path, example_file, capsys):
         assert main(["spectra", str(example_file)]) == 0

@@ -19,6 +19,7 @@ from netnewton import (
     load_network,
     save_network,
 )
+from netnewton.model import utility_terms
 
 from conftest import TWO_FLOW_ROUTING, draw_network
 
@@ -159,6 +160,17 @@ class TestEvaluation:
     def test_eval_h_weighted(self, congested_example):
         x = np.concatenate([np.full(3, 10.0), np.full(7, 1.0)])
         assert eval_h(congested_example, x) == pytest.approx(-3 * 15 * np.log(10))
+
+    @pytest.mark.parametrize("method", ["value", "d1", "d2", "d3", "inverse_d1"])
+    def test_utility_terms_match_scalar_methods(self, mixed_network, method):
+        groups = mixed_network.utility_groups
+        assert [idx.tolist() for idx, _ in groups] == [[0, 2, 4], [1, 3]]
+        s = np.random.default_rng(5).uniform(0.1, 4.0, mixed_network.num_sources)
+        expected = [float(getattr(u, method)(s[i])) for i, u in enumerate(mixed_network.utilities)]
+        # array and scalar np.log may round apart by an ulp
+        np.testing.assert_allclose(
+            utility_terms(mixed_network, method, s), expected, rtol=4 * np.finfo(float).eps
+        )
 
     def test_eval_h_equals_unbarriered_objective(self):
         rng = np.random.default_rng(3)
