@@ -5,8 +5,9 @@ number per participant without over-counting needs care: a link crossed
 by several sources would be added once per source. The fix is an offline
 companion graph on the sources, built by a signalling sweep over the real
 network, that records for each link an ownership set theta_l of sources.
-Once built, S synchronous rounds of two local update rules leave the
-global sum at every source and every link.
+Once built, synchronous rounds of two local update rules spread the
+global sum; after the companion graph's diameter plus one rounds every
+source and every link holds it.
 """
 
 from __future__ import annotations
@@ -201,19 +202,20 @@ class SummationRun:
 def distributed_sum(
     network: Network, aux: AuxiliaryGraph, y_star, z_star, rounds: int | None = None
 ) -> SummationRun:
-    """Run S synchronous rounds of the two-rule aggregation.
+    """Run synchronous rounds of the two-rule aggregation (S by default).
 
     Inputs are one number per source (y_star) and one per link (z_star,
     already divided by the link's crossing count). Every source seeds
     itself with its own value plus its route's link values; each round,
     links fold in their owners' values and sources fold in their owning
-    links' values, subtracting the over-counted previous state. After S
-    rounds every participant holds
+    links' values, subtracting the over-counted previous state. After t
+    rounds source i holds the sum over the sources within t hops of it in
+    the companion graph, so after aux.diameter + 1 rounds (never more
+    than S) every participant holds
 
         sum_i y_star_i + sum_l |S(l)| * z_star_l.
 
-    rounds overrides the default S; passing the companion graph's
-    diameter plus one is enough when that value is known.
+    Further rounds leave these values unchanged.
     """
     S, L = network.num_sources, network.num_links
     ys = np.asarray(y_star, dtype=float)
@@ -237,7 +239,8 @@ def compute_theta(network: Network, aux: AuxiliaryGraph, delta, hessian_diag):
     """Stepsize scalar: the decrement recovered from the aggregation.
 
     Feeds the squared, curvature-weighted direction entries through
-    distributed_sum and takes the square root of the common value. With
+    aux.diameter + 1 rounds of distributed_sum, the fewest that reach
+    every participant, and takes the square root of the common value. With
     this path the stepsize scalar equals the decrement exactly (up to
     float roundoff), so the decrement-approximation error is zero.
 
@@ -249,7 +252,7 @@ def compute_theta(network: Network, aux: AuxiliaryGraph, delta, hessian_diag):
     y_star = d[:S] ** 2 * H[:S]
     counts = network.routing.sum(axis=1)
     z_star = d[S:] ** 2 * H[S:] / counts
-    run = distributed_sum(network, aux, y_star, z_star)
+    run = distributed_sum(network, aux, y_star, z_star, rounds=aux.diameter + 1)
     total = run.y_final[0]
     spread = np.abs(
         np.concatenate([run.y_final, run.z_final]) - total

@@ -111,7 +111,7 @@ def _cmd_solve(args) -> int:
     )
     if args.two_pass:
         result = two_pass_solve(net, config)
-        records = result.pass1.trace + result.pass2.trace
+        records = result.traces
         doc = {
             "two_pass": {
                 "scale": result.scale,
@@ -119,6 +119,7 @@ def _cmd_solve(args) -> int:
                 "h_pass1": result.h_pass1,
                 "h_final": result.h_final,
                 "total_dual_iters": result.total_dual_iters,
+                "pass2_reused": result.pass2_reused,
             },
             "pass1": trace_to_json(result.pass1, config),
             "pass2": trace_to_json(result.pass2, config),

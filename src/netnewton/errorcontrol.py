@@ -204,14 +204,11 @@ def run_dual_with_error_control(
 
     w_prev = np.array(warm_start_w, dtype=float)
     w_cur = dual_step_matrix(split, w_prev)
-    steps = 1
-    if metrics is not None:
-        metrics.count_dual_round(S)
     for _ in range(cfg.T - 1):
         w_prev, w_cur = w_cur, dual_step_matrix(split, w_cur)
-        steps += 1
-        if metrics is not None:
-            metrics.count_dual_round(S)
+    steps = cfg.T
+    if metrics is not None:
+        metrics.count_dual_round(S, cfg.T)
 
     beta = stage1_beta(
         network, w_prev, w_cur, big_pi0, _weighted_route_price(network, H, w_prev),

@@ -6,8 +6,9 @@ weighted log utilities, and uniform capacities. The comparison runs the
 two-pass Newton scheme against both first-order baselines under the same
 iteration-counting convention: one price update is one counted iteration,
 and the Newton figure is the sum of price sweeps over all primal steps of
-both passes. Consensus and aggregation rounds are recorded separately and
-never enter the headline count.
+both passes (of pass 1 alone when pass 2 would repeat it). Consensus and
+aggregation rounds are recorded separately and never enter the headline
+count.
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ class ComparisonSummary:
 def _newton_band_entry(result, h_ref: float, band: float) -> int | None:
     """Cumulative price sweeps at the first primal iterate that is inside
     the band and never leaves it afterwards."""
-    records = result.pass1.trace + result.pass2.trace
+    records = result.traces
     h_seq = [rec.h for rec in records] + [result.h_final]
     cum = [0]
     for rec in records:
@@ -264,7 +265,7 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonSummary:
                         (res.x[spec.sources:] >= 0).all()
                     )
                     row.min_slack_overall = min(
-                        rec.min_slack for rec in res.pass1.trace + res.pass2.trace
+                        rec.min_slack for rec in res.traces
                     )
                 else:
                     stepsize = (

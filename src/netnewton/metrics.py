@@ -26,10 +26,12 @@ class MessageMetrics:
     aux_construction_rounds: int = 0
     per_iteration: list = field(default_factory=list)
 
-    def count_dual_round(self, num_sources: int) -> None:
-        self.dual_rounds += 1
-        self.dual_feedbacks += num_sources
-        self.dual_pushes += num_sources
+    def count_dual_round(self, num_sources: int, times: int = 1) -> None:
+        """Charge `times` price sweeps, each one feedback to and one push
+        from every source."""
+        self.dual_rounds += times
+        self.dual_feedbacks += times * num_sources
+        self.dual_pushes += times * num_sources
 
     def count_init_exchange(self, num_sources: int) -> None:
         # local Hessian/gradient push, all-ones feedback, scaled price push

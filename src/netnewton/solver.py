@@ -307,6 +307,9 @@ def reference_optimum(network: Network, scale_max: float = 1e8):
 
 @dataclass
 class TwoPassResult:
+    """Both passes of two_pass_solve. When pass 2 would repeat pass 1
+    exactly, pass2 is pass1 and is counted once."""
+
     x: np.ndarray
     pass1: SolveResult
     pass2: SolveResult
@@ -314,16 +317,28 @@ class TwoPassResult:
     shift: float
     h_pass1: float
     h_final: float
-    total_dual_iters: int
+
+    @property
+    def pass2_reused(self) -> bool:
+        return self.pass2 is self.pass1
+
+    @property
+    def _solves(self) -> tuple:
+        return (self.pass1,) if self.pass2_reused else (self.pass1, self.pass2)
+
+    @property
+    def total_dual_iters(self) -> int:
+        return sum(res.total_dual_iters for res in self._solves)
+
+    @property
+    def traces(self) -> list:
+        return [rec for res in self._solves for rec in res.trace]
 
     def relative_error(self, h_ref: float) -> float:
         """Relative gap to a reference optimum, on the shifted scale the
-        guarantee applies to."""
-        return (self.h_final - h_ref) / (h_ref + self.shift)
-
-    @property
-    def traces(self):
-        return self.pass1.trace + self.pass2.trace
+        guarantee applies to. The scale is |h_ref + shift|, so a negative
+        one cannot turn a gap into a pass."""
+        return (self.h_final - h_ref) / abs(h_ref + self.shift)
 
 
 def two_pass_solve(
@@ -343,6 +358,10 @@ def two_pass_solve(
     auto_shift disabled that situation raises instead. The shift never
     changes the chosen rates, only the value the relative target refers
     to, and is recorded on the result.
+
+    With scale 1 and mu 1, pass 2 would solve pass 1's problem again from
+    the same start; newton_solve is deterministic, so pass 1 is returned
+    as pass 2 instead.
     """
     nu = network.num_sources + network.num_links
     prob1 = BarrierProblem(network, config.mu, 1.0)
@@ -361,8 +380,10 @@ def two_pass_solve(
         # shift the negated utility so the rescale lands exactly at 1
         shift = config.mu * nu + nu / config.a - h1
         scale = 1.0
-    prob2 = BarrierProblem(network, 1.0, scale)
-    res2 = newton_solve(prob2, config)
+    if scale == 1.0 and config.mu == 1.0:
+        res2 = res1
+    else:
+        res2 = newton_solve(BarrierProblem(network, 1.0, scale), config)
     return TwoPassResult(
         x=res2.x,
         pass1=res1,
@@ -371,7 +392,6 @@ def two_pass_solve(
         shift=shift,
         h_pass1=h1,
         h_final=eval_h(network, res2.x),
-        total_dual_iters=res1.total_dual_iters + res2.total_dual_iters,
     )
 
 

@@ -59,6 +59,19 @@ class SplittingData:
         """Diagonal of D + Bbar, the invertible half of the split."""
         return self.dk + self.bbar
 
+    @cached_property
+    def iteration_matrix(self) -> np.ndarray:
+        """M = (diag(Bbar) - B) / denom, row by row; a sweep maps w to
+        M w + offset. Read-only, since DualGraph.from_splitting shares it."""
+        m = (np.diag(self.bbar) - self.bk) / self.denom[:, None]
+        m.setflags(write=False)
+        return m
+
+    @cached_property
+    def offset(self) -> np.ndarray:
+        """rhs / denom, the constant part of a sweep."""
+        return self.rhs / self.denom
+
 
 def build_splitting(network: Network, hessian_diag, grad) -> SplittingData:
     H = np.asarray(hessian_diag, dtype=float)
@@ -86,8 +99,7 @@ def build_splitting(network: Network, hessian_diag, grad) -> SplittingData:
 
 def dual_step_matrix(split: SplittingData, w) -> np.ndarray:
     """One fixed-point sweep of the price iteration in matrix form."""
-    w = np.asarray(w, dtype=float)
-    return ((split.bbar * w - split.bk @ w) + split.rhs) / split.denom
+    return split.iteration_matrix @ w + split.offset
 
 
 def solve_dual_exact(network: Network, hessian_diag, grad) -> np.ndarray:
@@ -222,8 +234,11 @@ class DualGraph:
     def from_splitting(cls, split: SplittingData) -> "DualGraph":
         """The coupling graph of a split; it does not depend on its rhs."""
         weights = split.bk / split.denom[:, None]
-        m = (np.diag(split.bbar) - split.bk) / split.denom[:, None]
-        return cls(weights=weights, iteration_matrix=m, denom=split.denom.copy())
+        return cls(
+            weights=weights,
+            iteration_matrix=split.iteration_matrix,
+            denom=split.denom.copy(),
+        )
 
 
 def build_dual_graph(network: Network, hessian_diag) -> DualGraph:

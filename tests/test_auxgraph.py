@@ -196,7 +196,7 @@ class TestComputeTheta:
             # keep the flow-conservation structure the stepsize scalar assumes
             delta[net.num_sources:] = -(net.routing @ delta[: net.num_sources])
             theta, rounds = compute_theta(net, aux, delta, H)
-            assert rounds == net.num_sources
+            assert rounds == aux.diameter + 1
             assert theta == pytest.approx(
                 inexact_decrement(delta, H), rel=1e-12, abs=1e-15
             )

@@ -12,6 +12,7 @@ from netnewton import (
     BarrierProblem,
     MessageMetrics,
     SolverConfig,
+    build_auxiliary_graph,
     newton_solve,
     random_network,
     run_comparison,
@@ -76,7 +77,8 @@ class TestMetrics:
         S = two_flow_network.num_sources
         assert m.dual_feedbacks == S * m.dual_rounds
         assert m.dual_pushes == S * m.dual_rounds
-        assert m.summation_rounds == S * res.primal_iters
+        rounds = build_auxiliary_graph(two_flow_network).diameter + 1
+        assert m.summation_rounds == rounds * res.primal_iters
         assert m.aux_construction_rounds == S - 1
         assert len(m.per_iteration) == res.primal_iters
 
@@ -94,6 +96,13 @@ class TestMetrics:
         assert m.totals()["dual_rounds"] == 2
         assert m.totals()["dual_feedbacks"] == 6
         assert m.totals()["consensus_rounds"] == 4
+
+    def test_batched_dual_rounds_match_single_rounds(self):
+        single, batched = MessageMetrics(), MessageMetrics()
+        for _ in range(5):
+            single.count_dual_round(3)
+        batched.count_dual_round(3, 5)
+        assert batched.totals() == single.totals()
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +188,17 @@ class TestCli:
         assert code == 0
         doc = json.loads(out.read_text())
         assert "two_pass" in doc and doc["pass2"]["converged"]
+
+    def test_solve_two_pass_counts_a_reused_pass_once(self, tmp_path, example_file):
+        # on this network pass 2 would repeat pass 1 (scale 1, mu 1)
+        out, trace = tmp_path / "out.json", tmp_path / "trace.csv"
+        assert main(["solve", str(example_file), "--two-pass", "--json", str(out),
+                     "--trace", str(trace)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["two_pass"]["pass2_reused"] is True
+        assert doc["two_pass"]["total_dual_iters"] == doc["pass1"]["total_dual_iters"]
+        rows = trace.read_text().splitlines()[1:]
+        assert len(rows) == doc["pass1"]["primal_iters"]
 
     def test_invalid_parameter_window_rejected(self, example_file):
         assert main(["solve", str(example_file), "--b", "0.5"]) == 2

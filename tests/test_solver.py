@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import netnewton
 from netnewton import (
     BarrierProblem,
+    DualGraph,
     LogUtility,
     SolverConfig,
     build_dual_graph,
@@ -13,6 +15,7 @@ from netnewton import (
     eval_hessian_diag,
     newton_solve,
     phase_diagnostics,
+    random_network,
     reference_optimum,
     reference_solve,
     spectral_radius,
@@ -141,6 +144,7 @@ class TestNewtonSolve:
         # count calls under every netnewton module that binds each function
         names = ("build_splitting", "build_dual_graph", "init_dual_state")
         calls = dict.fromkeys(names, 0)
+        returned = {}
         modules = [m for n, m in list(sys.modules.items())
                    if m is not None and (n == "netnewton" or n.startswith("netnewton."))]
         for name in names:
@@ -148,7 +152,8 @@ class TestNewtonSolve:
 
             def counted(*args, _name=name, _fn=original, **kwargs):
                 calls[_name] += 1
-                return _fn(*args, **kwargs)
+                returned[_name] = _fn(*args, **kwargs)
+                return returned[_name]
 
             for mod in modules:
                 if mod.__dict__.get(name) is original:
@@ -161,6 +166,9 @@ class TestNewtonSolve:
             "build_dual_graph": 0,
             "init_dual_state": 0,
         }
+        # the eigensolve reads the sweep's cached operator, not a copy
+        split = returned["build_splitting"]
+        assert DualGraph.from_splitting(split).iteration_matrix is split.iteration_matrix
 
     def test_contraction_factor_never_below_lambda1(self):
         # two links crossed by the same two sources: with a utility scale of
@@ -183,7 +191,71 @@ class TestNewtonSolve:
         assert max(diffs) <= 0.0101
 
 
+def study_network(trial: int):
+    """Trial `trial` of the seed-7 15x8 comparison study."""
+    seed = np.random.SeedSequence(7).spawn(trial + 1)[trial]
+    return random_network(15, 8, 0.5, seed)
+
+
+@pytest.fixture
+def newton_calls(monkeypatch):
+    """Count the newton_solve calls two_pass_solve makes."""
+    calls = []
+    original = netnewton.solver.newton_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(netnewton.solver, "newton_solve", counted)
+    return calls
+
+
 class TestTwoPass:
+    def test_identical_pass_2_is_reused(self, newton_calls):
+        net = study_network(0)
+        cfg = SolverConfig(a=0.01)
+        tp = two_pass_solve(net, cfg)
+        assert tp.scale == 1.0 and tp.shift > 0.0
+        assert len(newton_calls) == 1
+        assert tp.pass2 is tp.pass1 and tp.pass2_reused
+        assert tp.total_dual_iters == tp.pass1.total_dual_iters
+        assert tp.traces == tp.pass1.trace
+        fresh = newton_solve(BarrierProblem(net, 1.0, 1.0), cfg)
+        assert np.array_equal(tp.x, fresh.x)
+        assert tp.h_final == fresh.h_final
+
+    def test_rescaled_pass_2_is_solved(self, newton_calls):
+        net = build_network([[1]], [0.01], [LogUtility(1.0)])
+        tp = two_pass_solve(net, SolverConfig(a=0.01))
+        assert tp.scale > 1.0
+        assert len(newton_calls) == 2 and not tp.pass2_reused
+        assert tp.total_dual_iters == (
+            tp.pass1.total_dual_iters + tp.pass2.total_dual_iters
+        )
+        assert tp.traces == tp.pass1.trace + tp.pass2.trace
+
+    def test_pass_2_is_solved_when_mu_is_not_1(self, newton_calls):
+        tp = two_pass_solve(study_network(0), SolverConfig(a=0.01, mu=2.0))
+        assert tp.scale == 1.0
+        assert len(newton_calls) == 2 and not tp.pass2_reused
+        assert newton_calls[0][0].mu == 2.0 and newton_calls[1][0].mu == 1.0
+
+    def test_study_sweep_counts_pinned(self):
+        counts = tuple(
+            two_pass_solve(study_network(t), SolverConfig(a=0.01)).total_dual_iters
+            for t in range(4)
+        )
+        assert counts == (637, 937, 1330, 907)
+
+    def test_relative_error_with_negative_denominator(self, two_flow_network):
+        tp = two_pass_solve(two_flow_network, SolverConfig(a=0.01))
+        h_ref = tp.h_final - 0.5
+        bad = dataclasses.replace(tp, shift=-h_ref - 1.0)  # h_ref + shift = -1
+        # a gap of 0.5 on a shifted scale of size 1 must not pass a 1% target
+        assert bad.relative_error(h_ref) == pytest.approx(0.5)
+        assert bad.relative_error(h_ref) > 0.01
+
     def test_relative_error_within_target(self, two_flow_network):
         tp = two_pass_solve(two_flow_network, SolverConfig(a=0.01))
         _, h_ref = reference_optimum(two_flow_network)
