@@ -26,6 +26,9 @@ __all__ = [
     "subgradient_family_stepsize",
 ]
 
+# Iterates per block of _price_iteration, between two bookkeeping passes.
+_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class FirstOrderConfig:
@@ -56,6 +59,14 @@ class FirstOrderConfig:
     def __post_init__(self):
         if self.stepsize <= 0:
             raise ValueError("stepsize must be positive")
+        if self.max_iters < 1 or self.stable_window < 1:
+            raise ValueError("max_iters and stable_window must be at least 1")
+        if not (self.band > 0 and self.curvature_floor > 0):
+            raise ValueError("band and curvature_floor must be positive")
+        if self.rate_cap is not None and not self.rate_cap > 0:
+            raise ValueError("rate_cap must be positive")
+        if not self.rel_change_tol >= 0:
+            raise ValueError("rel_change_tol must be non-negative")
 
 
 @dataclass
@@ -99,49 +110,71 @@ def _best_response(network: Network, prices: np.ndarray, cap: float) -> np.ndarr
 def _price_iteration(
     network: Network, config: FirstOrderConfig, h_ref: float | None, scaled: bool
 ) -> FirstOrderResult:
+    """The price loop of both baselines. Per iterate it runs only the price
+    update, keeping each iterate's rates, overload and prices in a row of
+    a block; after each block it evaluates the objective, the minimum
+    slack, the divergence test and the stopping rule over the block's rows,
+    so it stops on the same iterate as a check after every update would."""
     R = network.routing
     c = network.capacities
     cap = config.rate_cap if config.rate_cap is not None else 2.0 * float(c.max())
+    stepsize, floor = config.stepsize, config.curvature_floor
+    band = None if h_ref is None else config.band_scale(h_ref)
+    rates = np.empty((_BLOCK, network.num_sources))
+    overload = np.empty((_BLOCK, network.num_links))
+    prices = np.empty((_BLOCK, network.num_links))
     w = np.zeros(network.num_links)
-    h_hist, slack_hist = [], []
+    h_blocks, slack_blocks = [], []
     stable = 0
-    h_prev = None
+    h_prev = np.nan  # compares false: the first iterate has no predecessor
+    done = 0
     converged = False
-    iterations = config.max_iters
-    for k in range(1, config.max_iters + 1):
-        s = _best_response(network, w, cap)
-        overload = R @ s - c
-        if scaled:
-            curv = R @ (-1.0 / utility_terms(network, "d2", s))
-            step = config.stepsize * overload / np.maximum(curv, config.curvature_floor)
-        else:
-            step = config.stepsize * overload
-        w = np.maximum(0.0, w + step)
-        if not w.max() <= 1e12:  # also catches nan
-            raise RuntimeError(
-                f"price iteration diverged at step {k}; reduce the stepsize"
-            )
-        h = -float(utility_terms(network, "value", np.maximum(s, 1e-300)).sum())
-        min_slack = float(-overload.max())
-        h_hist.append(h)
-        slack_hist.append(min_slack)
-        in_band = True if h_ref is None else abs(h - h_ref) <= config.band_scale(h_ref)
-        settled = (
-            h_prev is not None
-            and abs(h - h_prev) <= config.rel_change_tol * max(abs(h), 1e-12)
-            and min_slack >= -1e-9
-            and in_band
+    while done < config.max_iters:
+        n = min(_BLOCK, config.max_iters - done)
+        # Prices at or below 1e12 keep every term finite, so floating-point
+        # errors can only come from a diverged iterate or the ones after it,
+        # and the block is cut at the first diverged iterate below.
+        with np.errstate(all="ignore"):
+            for j in range(n):
+                s = rates[j] = _best_response(network, w, cap)
+                o = np.subtract(R @ s, c, out=overload[j])
+                if scaled:
+                    curv = R @ (-1.0 / utility_terms(network, "d2", s))
+                    step = stepsize * o / np.maximum(curv, floor)
+                else:
+                    step = stepsize * o
+                w = np.maximum(0.0, w + step, out=prices[j])
+        finite = prices[:n].max(axis=1) <= 1e12  # also catches nan
+        m = n if finite.all() else int(np.argmin(finite))  # rows before divergence
+        values = utility_terms(network, "value", np.maximum(rates[:m], 1e-300))
+        h = -values.sum(axis=-1)
+        slack = -overload[:m].max(axis=1)
+        change = np.abs(h - np.append(h_prev, h[:-1]))
+        settled = (change <= config.rel_change_tol * np.maximum(np.abs(h), 1e-12)) & (
+            slack >= -1e-9
         )
-        stable = stable + 1 if settled else 0
-        if stable >= config.stable_window:
-            converged = True
-            iterations = k
+        if band is not None:
+            settled &= np.abs(h - h_ref) <= band
+        for j, ok in enumerate(settled.tolist()):
+            stable = stable + 1 if ok else 0
+            if stable >= config.stable_window:
+                converged, m = True, j + 1
+                break
+        h_blocks.append(h[:m])
+        slack_blocks.append(slack[:m])
+        done += m
+        if converged:
             break
-        h_prev = h
-    h_arr = np.array(h_hist)
+        if m < n:
+            raise RuntimeError(
+                f"price iteration diverged at step {done + 1}; reduce the stepsize"
+            )
+        h_prev = h[-1]
+    w = prices[m - 1].copy()
+    h_arr = np.concatenate(h_blocks)
     iters_to_band = None
     if h_ref is not None:
-        band_mask = np.abs(h_arr - h_ref) <= config.band_scale(h_ref)
+        band_mask = np.abs(h_arr - h_ref) <= band
         # first index after which the objective never leaves the band
         outside = np.nonzero(~band_mask)[0]
         if band_mask.all():
@@ -155,8 +188,8 @@ def _price_iteration(
         rates=_best_response(network, w, cap),
         prices=w,
         objective_history=h_arr,
-        min_slack_history=np.array(slack_hist),
-        iterations=iterations,
+        min_slack_history=np.concatenate(slack_blocks),
+        iterations=done,
         converged=converged,
         iters_to_band=iters_to_band,
     )

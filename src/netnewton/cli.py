@@ -124,7 +124,7 @@ def _cmd_solve(args) -> int:
             "pass1": trace_to_json(result.pass1, config),
             "pass2": trace_to_json(result.pass2, config),
         }
-        final = result.pass2
+        final = result  # totals over the passes that ran
     else:
         final = newton_solve(BarrierProblem(net, config.mu), config)
         records = final.trace

@@ -81,6 +81,8 @@ class ExperimentSpec:
             raise TypeError(f"outdir must be a string, got {self.outdir!r}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.max_first_order_iters < 1:
+            raise ValueError("max_first_order_iters must be positive")
         unknown = set(self.methods) - {"newton", "diagonal", "subgradient"}
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")

@@ -379,14 +379,16 @@ def _split(problem: BarrierProblem, x):
 
 
 def utility_terms(network: Network, method: str, s) -> np.ndarray:
-    """Entry i is network.utilities[i].<method>(s[i]) for the utility method
-    named (value, d1, d2, d3 or inverse_d1), evaluated family by family."""
+    """Entry [..., i] is network.utilities[i].<method>(s[..., i]) for the
+    utility method named (value, d1, d2, d3 or inverse_d1), evaluated family
+    by family. The last axis of s is the sources; leading axes stack
+    several rate vectors."""
     groups = network.utility_groups
     if len(groups) == 1:
         return getattr(groups[0][1], method)(s)
-    out = np.empty(network.num_sources)
+    out = np.empty(s.shape)
     for idx, stacked in groups:
-        out[idx] = getattr(stacked, method)(s[idx])
+        out[..., idx] = getattr(stacked, method)(s[..., idx])
     return out
 
 

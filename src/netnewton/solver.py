@@ -334,6 +334,15 @@ class TwoPassResult:
     def traces(self) -> list:
         return [rec for res in self._solves for rec in res.trace]
 
+    @property
+    def primal_iters(self) -> int:
+        return sum(res.primal_iters for res in self._solves)
+
+    @property
+    def converged(self) -> bool:
+        """Whether every pass that ran converged."""
+        return all(res.converged for res in self._solves)
+
     def relative_error(self, h_ref: float) -> float:
         """Relative gap to a reference optimum, on the shifted scale the
         guarantee applies to. The scale is |h_ref + shift|, so a negative

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,88 @@ from netnewton import (
     LogUtility,
     build_network,
     diagonal_scaled_solve,
+    random_network,
     reference_optimum,
     subgradient_family_stepsize,
     subgradient_solve,
 )
+from netnewton.baselines import (
+    _BLOCK,
+    FirstOrderResult,
+    _best_response,
+    _price_iteration,
+)
+from netnewton.experiment import FAMILY_FIXTURES
+from netnewton.model import utility_terms
+
+
+def oracle_price_iteration(network, config, h_ref, scaled):
+    """Test oracle: the plain per-iteration form of _price_iteration, which
+    runs the objective, slack, divergence test and stopping rule after every
+    price update. The blocked loop must reproduce it exactly."""
+    R = network.routing
+    c = network.capacities
+    cap = config.rate_cap if config.rate_cap is not None else 2.0 * float(c.max())
+    w = np.zeros(network.num_links)
+    h_hist, slack_hist = [], []
+    stable = 0
+    h_prev = None
+    converged = False
+    iterations = config.max_iters
+    for k in range(1, config.max_iters + 1):
+        s = _best_response(network, w, cap)
+        overload = R @ s - c
+        if scaled:
+            curv = R @ (-1.0 / utility_terms(network, "d2", s))
+            step = config.stepsize * overload / np.maximum(curv, config.curvature_floor)
+        else:
+            step = config.stepsize * overload
+        w = np.maximum(0.0, w + step)
+        if not w.max() <= 1e12:
+            raise RuntimeError(
+                f"price iteration diverged at step {k}; reduce the stepsize"
+            )
+        h = -float(utility_terms(network, "value", np.maximum(s, 1e-300)).sum())
+        min_slack = float(-overload.max())
+        h_hist.append(h)
+        slack_hist.append(min_slack)
+        in_band = True if h_ref is None else abs(h - h_ref) <= config.band_scale(h_ref)
+        settled = (
+            h_prev is not None
+            and abs(h - h_prev) <= config.rel_change_tol * max(abs(h), 1e-12)
+            and min_slack >= -1e-9
+            and in_band
+        )
+        stable = stable + 1 if settled else 0
+        if stable >= config.stable_window:
+            converged = True
+            iterations = k
+            break
+        h_prev = h
+    h_arr = np.array(h_hist)
+    iters_to_band = None
+    if h_ref is not None:
+        inside = np.abs(h_arr - h_ref) <= config.band_scale(h_ref)
+        outside = [k for k, ok in enumerate(inside) if not ok]
+        entry = outside[-1] + 1 if outside else 0  # never leaves the band after
+        iters_to_band = entry + 1 if entry < len(h_arr) else None
+    return FirstOrderResult(
+        rates=_best_response(network, w, cap),
+        prices=w,
+        objective_history=h_arr,
+        min_slack_history=np.array(slack_hist),
+        iterations=iterations,
+        converged=converged,
+        iters_to_band=iters_to_band,
+    )
+
+
+def assert_same_run(result, expected):
+    assert (result.iterations, result.converged, result.iters_to_band) == (
+        expected.iterations, expected.converged, expected.iters_to_band
+    )
+    for name in ("prices", "rates", "objective_history", "min_slack_history"):
+        assert np.array_equal(getattr(result, name), getattr(expected, name)), name
 
 
 @pytest.fixture
@@ -103,12 +183,105 @@ class TestSharedBehavior:
         with pytest.raises(ValueError):
             FirstOrderConfig(stepsize=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", 0),
+        ("stable_window", 0),
+        ("band", 0.0),
+        ("rel_change_tol", -1e-6),
+        ("curvature_floor", 0.0),
+        ("rate_cap", 0.0),
+    ])
+    def test_unrunnable_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FirstOrderConfig(stepsize=0.01, **{field: value})
+
     def test_divergence_detected(self, two_flow_network):
         cfg = FirstOrderConfig(stepsize=1e13, max_iters=10000)
-        with pytest.raises(RuntimeError, match="diverged"):
-            subgradient_solve(two_flow_network, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeError, match="diverged at step 1;"):
+                subgradient_solve(two_flow_network, cfg)
 
     def test_oscillation_reported_as_nonconvergence(self, two_flow_network):
         cfg = FirstOrderConfig(stepsize=50.0, max_iters=500)
         res = subgradient_solve(two_flow_network, cfg)
         assert not res.converged
+
+
+class TestBlockedLoop:
+    """_price_iteration evaluates its bookkeeping once per block of _BLOCK
+    iterates; each case pins it to the per-iteration oracle above."""
+
+    @pytest.mark.parametrize("scaled, stepsize", [(False, 0.05), (True, 0.1)])
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_stop_at_block_edge(self, two_flow_network, scaled, stepsize, offset):
+        # offset 0 stops on the last iterate of a block, 1 on the first of the next
+        _, h_ref = reference_optimum(two_flow_network)
+        base = oracle_price_iteration(
+            two_flow_network, FirstOrderConfig(stepsize=stepsize), h_ref, scaled
+        )
+        target = -(-base.iterations // _BLOCK) * _BLOCK + offset
+        # the objective stays settled, so a longer window delays the stop as much
+        cfg = FirstOrderConfig(stepsize=stepsize, stable_window=50 + target - base.iterations)
+        expected = oracle_price_iteration(two_flow_network, cfg, h_ref, scaled)
+        assert expected.converged and expected.iterations == target
+        assert_same_run(_price_iteration(two_flow_network, cfg, h_ref, scaled), expected)
+
+    @pytest.mark.parametrize("max_iters, converged", [(600, False), (1000, True)])
+    def test_max_iters_not_a_block_multiple(self, two_flow_network, max_iters, converged):
+        cfg = FirstOrderConfig(stepsize=0.01, max_iters=max_iters)
+        assert max_iters % _BLOCK
+        expected = oracle_price_iteration(two_flow_network, cfg, None, False)
+        assert expected.converged is converged
+        assert_same_run(subgradient_solve(two_flow_network, cfg), expected)
+
+    def test_max_iters_below_stable_window(self, two_flow_network):
+        cfg = FirstOrderConfig(stepsize=0.05, max_iters=30, stable_window=50)
+        expected = oracle_price_iteration(two_flow_network, cfg, None, True)
+        assert not expected.converged and expected.iterations == 30
+        assert_same_run(diagonal_scaled_solve(two_flow_network, cfg), expected)
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_mixed_utilities(self, mixed_network, scaled):
+        _, h_ref = reference_optimum(mixed_network)
+        stepsize = 0.05 if scaled else subgradient_family_stepsize(mixed_network)
+        cfg = FirstOrderConfig(stepsize=stepsize)
+        expected = oracle_price_iteration(mixed_network, cfg, h_ref, scaled)
+        assert expected.converged and expected.iterations > _BLOCK
+        assert_same_run(_price_iteration(mixed_network, cfg, h_ref, scaled), expected)
+
+    @pytest.mark.parametrize("scaled, stepsize", [(False, 1e12 / 300.5), (True, 1e4 / 300.5)])
+    def test_divergence_inside_a_later_block(self, scaled, stepsize):
+        # a huge weight keeps the rate at its cap, so the price grows by a
+        # fixed amount per step and passes 1e12 at step 301
+        net = build_network([[1]], [1.0], [LogUtility(1e15)])
+        cfg = FirstOrderConfig(stepsize=stepsize, max_iters=10000)
+        with pytest.raises(RuntimeError, match="diverged at step 301;"):
+            oracle_price_iteration(net, cfg, None, scaled)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeError, match="diverged at step 301;"):
+                _price_iteration(net, cfg, None, scaled)
+
+    def test_iterates_after_a_divergence_raise_no_warning(self, two_flow_network):
+        # at this stepsize the block's later iterates reach zero rates, whose
+        # curvature divides by zero; the loop discards them without a warning
+        cfg = FirstOrderConfig(stepsize=1e300, max_iters=10000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeError, match="diverged at step 1;"):
+                diagonal_scaled_solve(two_flow_network, cfg)
+
+
+def test_study_trial_counts_pinned():
+    """Trial 0 of the seed-7 15x8 comparison study, as run_comparison runs it."""
+    net = random_network(15, 8, 0.5, np.random.SeedSequence(7).spawn(1)[0])
+    _, h_ref = reference_optimum(net)
+    diag = diagonal_scaled_solve(
+        net, FirstOrderConfig(stepsize=FAMILY_FIXTURES["diagonal_stepsize"]), h_ref=h_ref
+    )
+    sub = subgradient_solve(
+        net, FirstOrderConfig(stepsize=subgradient_family_stepsize(net)), h_ref=h_ref
+    )
+    assert (diag.iterations, diag.iters_to_band) == (152_452, 2_287)
+    assert (sub.iterations, sub.iters_to_band) == (87_391, 743)

@@ -10,9 +10,11 @@ import pytest
 import netnewton
 from netnewton import (
     BarrierProblem,
+    LogUtility,
     MessageMetrics,
     SolverConfig,
     build_auxiliary_graph,
+    build_network,
     newton_solve,
     random_network,
     run_comparison,
@@ -200,6 +202,22 @@ class TestCli:
         rows = trace.read_text().splitlines()[1:]
         assert len(rows) == doc["pass1"]["primal_iters"]
 
+    def test_solve_two_pass_summary_counts_both_passes(self, tmp_path, capsys):
+        # capacity 0.01 forces a rescaled pass 2, so both passes run
+        path, out = tmp_path / "one_link.json", tmp_path / "out.json"
+        save_network(build_network([[1]], [0.01], [LogUtility(1.0)]), path)
+        assert main(["solve", str(path), "--two-pass", "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["two_pass"]["pass2_reused"] is False
+        summary = dict(f.split("=") for f in capsys.readouterr().err.split())
+        total = doc["two_pass"]["total_dual_iters"]
+        assert int(summary["dual_iters"]) == total == 38
+        assert total == doc["pass1"]["total_dual_iters"] + doc["pass2"]["total_dual_iters"]
+        assert int(summary["primal_iters"]) == (
+            doc["pass1"]["primal_iters"] + doc["pass2"]["primal_iters"]
+        )
+        assert summary["converged"] == "True"
+
     def test_invalid_parameter_window_rejected(self, example_file):
         assert main(["solve", str(example_file), "--b", "0.5"]) == 2
 
@@ -229,6 +247,7 @@ class TestCli:
         {"trials": "many"},
         {"trials": 1, "a": "x"},
         {"trials": 1, "omega_range": [0.2, 0.5]},
+        {"trials": 1, "max_first_order_iters": 0},
     ])
     def test_malformed_spec_rejected(self, tmp_path, capsys, doc):
         spec = tmp_path / "spec.json"

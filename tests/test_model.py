@@ -172,6 +172,14 @@ class TestEvaluation:
             utility_terms(mixed_network, method, s), expected, rtol=4 * np.finfo(float).eps
         )
 
+    @pytest.mark.parametrize("method", ["value", "d1", "d2", "d3", "inverse_d1"])
+    def test_utility_terms_rows_match_vector_calls(self, mixed_network, method):
+        rows = np.random.default_rng(6).uniform(0.1, 4.0, (7, mixed_network.num_sources))
+        stacked = utility_terms(mixed_network, method, rows)
+        assert stacked.shape == rows.shape
+        for row, out in zip(rows, stacked):
+            assert np.array_equal(out, utility_terms(mixed_network, method, row))
+
     def test_eval_h_equals_unbarriered_objective(self):
         rng = np.random.default_rng(3)
         net = draw_network(rng)

@@ -221,6 +221,7 @@ class TestTwoPass:
         assert tp.pass2 is tp.pass1 and tp.pass2_reused
         assert tp.total_dual_iters == tp.pass1.total_dual_iters
         assert tp.traces == tp.pass1.trace
+        assert tp.primal_iters == tp.pass1.primal_iters and tp.converged
         fresh = newton_solve(BarrierProblem(net, 1.0, 1.0), cfg)
         assert np.array_equal(tp.x, fresh.x)
         assert tp.h_final == fresh.h_final
@@ -234,6 +235,13 @@ class TestTwoPass:
             tp.pass1.total_dual_iters + tp.pass2.total_dual_iters
         )
         assert tp.traces == tp.pass1.trace + tp.pass2.trace
+        assert tp.primal_iters == tp.pass1.primal_iters + tp.pass2.primal_iters
+        assert tp.converged
+        # a pass 1 stopped by its cap fails the run, whatever pass 2 did
+        stalled = dataclasses.replace(
+            tp, pass1=dataclasses.replace(tp.pass1, converged=False)
+        )
+        assert stalled.pass2.converged and not stalled.converged
 
     def test_pass_2_is_solved_when_mu_is_not_1(self, newton_calls):
         tp = two_pass_solve(study_network(0), SolverConfig(a=0.01, mu=2.0))
