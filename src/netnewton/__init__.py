@@ -54,7 +54,6 @@ from .solver import (
     two_pass_solve,
 )
 from .splitting import (
-    DualGraph,
     DualState,
     SpectralReport,
     SplittingData,

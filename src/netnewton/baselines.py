@@ -24,6 +24,7 @@ __all__ = [
     "subgradient_solve",
     "diagonal_scaled_solve",
     "subgradient_family_stepsize",
+    "band_entry",
 ]
 
 # Iterates per block of _price_iteration, between two bookkeeping passes.
@@ -100,6 +101,19 @@ def subgradient_family_stepsize(network: Network, safety: float = 0.9) -> float:
     return safety * 2.0 / (longest_route * busiest_link * curv)
 
 
+def band_entry(history, h_ref: float, band: float) -> int | None:
+    """Index of the first entry of an objective history after which it
+    never leaves band * max(|h_ref|, 1) around h_ref; None when the last
+    entry is outside."""
+    scale = band * max(abs(h_ref), 1.0)
+    h = np.asarray(history, dtype=float)
+    outside = np.flatnonzero(~(np.abs(h - h_ref) <= scale))
+    if len(outside) == 0:
+        return 0
+    entry = int(outside[-1]) + 1
+    return entry if entry < len(h) else None
+
+
 def _best_response(network: Network, prices: np.ndarray, cap: float) -> np.ndarray:
     """Rates maximizing utility minus route price, clamped to [0, cap]."""
     route_price = network.routing.T @ prices
@@ -172,18 +186,7 @@ def _price_iteration(
         h_prev = h[-1]
     w = prices[m - 1].copy()
     h_arr = np.concatenate(h_blocks)
-    iters_to_band = None
-    if h_ref is not None:
-        band_mask = np.abs(h_arr - h_ref) <= band
-        # first index after which the objective never leaves the band
-        outside = np.nonzero(~band_mask)[0]
-        if band_mask.all():
-            entry = 0
-        elif outside[-1] + 1 < len(h_arr):
-            entry = int(outside[-1]) + 1
-        else:
-            entry = None
-        iters_to_band = None if entry is None else entry + 1
+    entry = None if h_ref is None else band_entry(h_arr, h_ref, config.band)
     return FirstOrderResult(
         rates=_best_response(network, w, cap),
         prices=w,
@@ -191,7 +194,7 @@ def _price_iteration(
         min_slack_history=np.concatenate(slack_blocks),
         iterations=done,
         converged=converged,
-        iters_to_band=iters_to_band,
+        iters_to_band=None if entry is None else entry + 1,
     )
 
 

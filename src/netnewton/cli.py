@@ -32,7 +32,7 @@ from .solver import (
     two_pass_solve,
     write_trace_csv,
 )
-from .splitting import spectral_diagnostics
+from .splitting import build_dual_graph, spectral_diagnostics
 
 __all__ = ["main", "build_parser"]
 
@@ -155,7 +155,7 @@ def _cmd_spectra(args) -> int:
     net = load_network(args.network)
     x0 = feasible_init(net)
     H = eval_hessian_diag(BarrierProblem(net, args.mu), x0)
-    report = spectral_diagnostics(net, H)
+    report = spectral_diagnostics(build_dual_graph(net, H))
     _emit({"dual_graph": report.to_dict()}, args.out)
     return 0
 

@@ -30,16 +30,11 @@ class NewtonDirection:
     """Feasibility-preserving direction with its curvature norm.
 
     delta stacks the rate part and the slack part; decrement is
-    sqrt(delta' H delta). theta is the stepsize-rule scalar (equal to the
-    decrement when the exact finite-round aggregation computes it), and
-    the remaining fields record how the supporting price solve went.
+    sqrt(delta' H delta).
     """
 
     delta: np.ndarray
     decrement: float
-    theta: float | None = None
-    dual_iters: int = 0
-    certificate: object = None
 
 
 def kkt_direction(network: Network, hessian_diag, grad):

@@ -22,6 +22,7 @@ import numpy as np
 
 from .baselines import (
     FirstOrderConfig,
+    band_entry,
     diagonal_scaled_solve,
     subgradient_family_stepsize,
     subgradient_solve,
@@ -205,20 +206,10 @@ def _newton_band_entry(result, h_ref: float, band: float) -> int | None:
     """Cumulative price sweeps at the first primal iterate that is inside
     the band and never leaves it afterwards."""
     records = result.traces
-    h_seq = [rec.h for rec in records] + [result.h_final]
-    cum = [0]
-    for rec in records:
-        cum.append(cum[-1] + rec.dual_iters)
-    scale = band * max(abs(h_ref), 1.0)
-    inside = [abs(h - h_ref) <= scale for h in h_seq]
-    entry = None
-    for idx in range(len(h_seq)):
-        if all(inside[idx:]):
-            entry = idx
-            break
+    entry = band_entry([rec.h for rec in records] + [result.h_final], h_ref, band)
     if entry is None:
         return None
-    return cum[min(entry, len(cum) - 1)]
+    return sum(rec.dual_iters for rec in records[:entry])
 
 
 def run_comparison(spec: ExperimentSpec) -> ComparisonSummary:

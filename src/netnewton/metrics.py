@@ -8,7 +8,7 @@ the headline iteration count excludes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["MessageMetrics"]
 
@@ -24,7 +24,6 @@ class MessageMetrics:
     consensus_rounds: int = 0
     summation_rounds: int = 0
     aux_construction_rounds: int = 0
-    per_iteration: list = field(default_factory=list)
 
     def count_dual_round(self, num_sources: int, times: int = 1) -> None:
         """Charge `times` price sweeps, each one feedback to and one push
@@ -54,14 +53,3 @@ class MessageMetrics:
             "summation_rounds": self.summation_rounds,
             "aux_construction_rounds": self.aux_construction_rounds,
         }
-
-    def snapshot_iteration(self) -> dict:
-        """Record the totals delta since the previous snapshot."""
-        now = self.totals()
-        if self.per_iteration:
-            base = self.per_iteration[-1]["cumulative"]
-        else:
-            base = {k: 0 for k in now}
-        delta = {k: now[k] - base[k] for k in now}
-        self.per_iteration.append({"delta": delta, "cumulative": now})
-        return delta

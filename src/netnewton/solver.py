@@ -30,7 +30,7 @@ from .model import (
     feasibility_residual,
     feasible_init,
 )
-from .splitting import DualGraph, build_splitting, spectral_diagnostics, spectral_radius
+from .splitting import build_splitting, spectral_diagnostics, spectral_radius
 
 __all__ = [
     "SolverConfig",
@@ -80,7 +80,6 @@ class SolverConfig:
     max_primal_iters: int = 200
     a: float = 0.01
     tau_noise: float = 0.0
-    dual_iter_cap: int = 10**6
     dual_warm_start: bool = True
     store_iterates: bool = True
     record_spectra: bool = False
@@ -176,29 +175,25 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
     converged = False
 
     for k in range(config.max_primal_iters):
+        consensus_start = metrics.consensus_rounds
         g = eval_grad(problem, x)
         H = eval_hessian_diag(problem, x)
         split = build_splitting(net, H, g)
-        lam1 = spectral_radius(DualGraph.from_splitting(split))
+        spectra = spectral_diagnostics(split) if config.record_spectra else None
+        lam1 = spectral_radius(split) if spectra is None else spectra.lambda1
         # 5% headroom above the measured contraction factor, but never more
         # pessimistic than halving its gap to 1, which keeps F in [lam1, 1)
         F = min(max(1.05 * lam1, 1e-6), 0.5 * (1.0 + lam1))
         T = config.T if config.T is not None else max(2, math.ceil(math.log(0.1) / math.log(F)))
-        dual_cfg = DualControlConfig(
-            T=T, p=config.p, epsilon=config.epsilon, F=F, iter_cap=config.dual_iter_cap
-        )
+        dual_cfg = DualControlConfig(T=T, p=config.p, epsilon=config.epsilon, F=F)
         w, cert = run_dual_with_error_control(net, H, split, dual_cfg, w_warm, metrics)
         direction = primal_direction(net, H, g, w)
         theta, sum_rounds = compute_theta(net, aux, direction.delta, H)
         metrics.summation_rounds += sum_rounds
         if config.tau_noise:
             theta = max(0.0, theta + config.tau_noise * math.cos(float(k)))
-        direction.theta = theta
-        direction.dual_iters = cert.dual_iters
-        direction.certificate = cert
         d, damped_next = stepsize_rule(theta, damped, config.V, config.b)
         phase = "damped" if (damped and damped_next) else "quadratic"
-        iter_counts = metrics.snapshot_iteration()
         rec = TraceRecord(
             k=k,
             f=eval_f(problem, x),
@@ -208,15 +203,13 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
             stepsize=d,
             phase=phase,
             dual_iters=cert.dual_iters,
-            consensus_rounds=iter_counts["consensus_rounds"],
+            consensus_rounds=metrics.consensus_rounds - consensus_start,
             summation_rounds=sum_rounds,
             min_slack=float(x[S:].min()),
             feas_residual=feasibility_residual(net, x),
             certificate=cert,
             x=x.copy() if config.store_iterates else None,
-            dual_graph=(
-                spectral_diagnostics(net, H).to_dict() if config.record_spectra else None
-            ),
+            dual_graph=None if spectra is None else spectra.to_dict(),
         )
         trace.append(rec)
         damped = damped_next
@@ -350,9 +343,7 @@ class TwoPassResult:
         return (self.h_final - h_ref) / abs(h_ref + self.shift)
 
 
-def two_pass_solve(
-    network: Network, config: SolverConfig, auto_shift: bool = True
-) -> TwoPassResult:
+def two_pass_solve(network: Network, config: SolverConfig) -> TwoPassResult:
     """Bound the barrier-induced utility error by the relative target a.
 
     The barrier carries one log term per variable, so the utility value at
@@ -363,10 +354,9 @@ def two_pass_solve(
     and pass 2 runs with barrier weight 1, which caps the relative utility
     error of its result at a. When the pass-1 value does not admit a
     scale of at least 1 (needed to keep the rescaled objective
-    self-concordant), a constant shift of the utility restores one; with
-    auto_shift disabled that situation raises instead. The shift never
-    changes the chosen rates, only the value the relative target refers
-    to, and is recorded on the result.
+    self-concordant), a constant shift of the utility restores one. The
+    shift never changes the chosen rates, only the value the relative
+    target refers to, and is recorded on the result.
 
     With scale 1 and mu 1, pass 2 would solve pass 1's problem again from
     the same start; newton_solve is deterministic, so pass 1 is returned
@@ -381,11 +371,6 @@ def two_pass_solve(
         shift = 0.0
         scale = nu / (config.a * margin)
     else:
-        if not auto_shift:
-            raise ValueError(
-                f"pass-1 utility margin {margin} does not admit a valid scale; "
-                "enable auto_shift"
-            )
         # shift the negated utility so the rescale lands exactly at 1
         shift = config.mu * nu + nu / config.a - h1
         scale = 1.0

@@ -23,7 +23,6 @@ from .model import Network
 __all__ = [
     "SplittingData",
     "DualState",
-    "DualGraph",
     "SpectralReport",
     "build_splitting",
     "dual_step_matrix",
@@ -62,10 +61,18 @@ class SplittingData:
     @cached_property
     def iteration_matrix(self) -> np.ndarray:
         """M = (diag(Bbar) - B) / denom, row by row; a sweep maps w to
-        M w + offset. Read-only, since DualGraph.from_splitting shares it."""
+        M w + offset, and its spectral radius is the contraction factor.
+        Read-only, since the sweeps and the eigensolve share it."""
         m = (np.diag(self.bbar) - self.bk) / self.denom[:, None]
         m.setflags(write=False)
         return m
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """B / denom, row by row: the weighted coupling graph on links (an
+        edge means two links share a flow) whose out-degrees and cuts bound
+        the contraction factor."""
+        return self.bk / self.denom[:, None]
 
     @cached_property
     def offset(self) -> np.ndarray:
@@ -209,51 +216,21 @@ def dual_step_distributed(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualGraph:
-    """Directed weighted graph on links; an edge means two links share a flow.
-
-    weights[i, j] = bk[i, j] / denom[i]; iteration_matrix is the weighted
-    Laplacian (out-degree matrix minus weights) whose spectral radius is
-    the contraction factor of the price iteration.
-    """
-
-    weights: np.ndarray
-    iteration_matrix: np.ndarray
-    denom: np.ndarray
-
-    @property
-    def out_degrees(self) -> np.ndarray:
-        return self.weights.sum(axis=1)
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        return self.weights + self.weights.T > 0
-
-    @classmethod
-    def from_splitting(cls, split: SplittingData) -> "DualGraph":
-        """The coupling graph of a split; it does not depend on its rhs."""
-        weights = split.bk / split.denom[:, None]
-        return cls(
-            weights=weights,
-            iteration_matrix=split.iteration_matrix,
-            denom=split.denom.copy(),
-        )
-
-
-def build_dual_graph(network: Network, hessian_diag) -> DualGraph:
+def build_dual_graph(network: Network, hessian_diag) -> SplittingData:
+    """The split at a zero gradient: everything the spectral functions
+    read, which does not depend on the gradient."""
     zero_grad = np.zeros(network.num_sources + network.num_links)
-    return DualGraph.from_splitting(build_splitting(network, hessian_diag, zero_grad))
+    return build_splitting(network, hessian_diag, zero_grad)
 
 
-def spectral_radius(graph: DualGraph) -> float:
+def spectral_radius(split: SplittingData) -> float:
     """Largest-magnitude eigenvalue of the iteration matrix.
 
     Computed on the symmetrized similar matrix for numerical stability;
     asserts the contraction property (< 1) that the splitting guarantees.
     """
-    scale = np.sqrt(graph.denom)
-    sym = graph.iteration_matrix * scale[:, None] / scale[None, :]
+    scale = np.sqrt(split.denom)
+    sym = split.iteration_matrix * scale[:, None] / scale[None, :]
     sym = 0.5 * (sym + sym.T)
     eigs = scipy.linalg.eigvalsh(sym)
     lam1 = float(np.abs(eigs).max())
@@ -261,11 +238,11 @@ def spectral_radius(graph: DualGraph) -> float:
     return lam1
 
 
-def weighted_max_cut(graph: DualGraph) -> float:
-    """Exact maximum over node subsets of the weight crossing the cut,
-    counting both directions. Exhaustive enumeration, so only sensible for
-    small graphs; node 0 is pinned to one side by symmetry."""
-    both = graph.weights + graph.weights.T
+def weighted_max_cut(split: SplittingData) -> float:
+    """Exact maximum over link subsets of the coupling weight crossing the
+    cut, counting both directions. Exhaustive enumeration, so only sensible
+    for small graphs; link 0 is pinned to one side by symmetry."""
+    both = split.weights + split.weights.T
     L = both.shape[0]
     if L > MAX_CUT_ENUM_LIMIT:
         raise ValueError(f"max-cut enumeration limited to {MAX_CUT_ENUM_LIMIT} links")
@@ -304,7 +281,7 @@ class SpectralReport:
 
 
 def spectral_diagnostics(
-    network: Network, hessian_diag, max_cut_limit: int = MAX_CUT_ENUM_LIMIT
+    split: SplittingData, max_cut_limit: int = MAX_CUT_ENUM_LIMIT
 ) -> SpectralReport:
     """Contraction factor of the price iteration with its graph bounds.
 
@@ -313,12 +290,12 @@ def spectral_diagnostics(
     the exact cut enumeration is affordable; it is a useful congestion
     indicator but is not a guaranteed bound on every instance.
     """
-    graph = build_dual_graph(network, hessian_diag)
-    lam1 = spectral_radius(graph)
-    max_deg = float(graph.out_degrees.max())
+    lam1 = spectral_radius(split)
+    max_deg = float(split.weights.sum(axis=1).max())
     upper = min(2.0 * max_deg, 1.0)
-    if network.num_links <= max_cut_limit:
-        mc = weighted_max_cut(graph)
-        lower = 4.0 * mc / network.num_links
+    L = len(split.denom)
+    if L <= max_cut_limit:
+        mc = weighted_max_cut(split)
+        lower = 4.0 * mc / L
         return SpectralReport(lam1, upper, max_deg, lower, mc)
     return SpectralReport(lam1, upper, max_deg)

@@ -140,7 +140,7 @@ def test_criterion_03_spectral_bounds():
     for spread, lam_expected in ((False, 0.47), (True, 0.12)):
         net = three_flow_example(spread=spread)
         _, H, _ = example_state(net)
-        rep = spectral_diagnostics(net, H)
+        rep = spectral_diagnostics(build_dual_graph(net, H))
         assert rep.lambda1 == pytest.approx(lam_expected, abs=0.05)
         assert rep.lower_bound <= rep.lambda1 <= rep.upper_bound
     # every generated instance with exact max-cut enumeration
@@ -149,7 +149,7 @@ def test_criterion_03_spectral_bounds():
     for _ in range(40):
         net = sized_network(rng)
         _, H, _ = init_state(net)
-        rep = spectral_diagnostics(net, H)
+        rep = spectral_diagnostics(build_dual_graph(net, H))
         assert rep.lambda1 <= rep.upper_bound + 1e-12
         if not rep.lower_bound <= rep.lambda1 + 1e-12:
             failures.append(

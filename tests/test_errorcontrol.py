@@ -9,6 +9,7 @@ from netnewton import (
     kkt_direction,
     max_consensus,
     primal_direction,
+    random_network,
     run_dual_with_error_control,
     solve_dual_exact,
     spectral_radius,
@@ -151,6 +152,16 @@ class TestMaxConsensus:
             vals = rng.normal(size=len(net.comm_neighbors))
             out, _ = max_consensus(vals, net.comm_neighbors)
             assert np.all(out == vals.max())
+
+    def test_rounds_within_the_comm_diameter_charge(self):
+        # the solver charges comm_diameter rounds per network-wide maximum
+        rng = np.random.default_rng(8)
+        for seed in np.random.SeedSequence(7).spawn(10):
+            net = random_network(15, 8, 0.5, seed)
+            vals = rng.normal(size=len(net.comm_neighbors))
+            out, rounds = max_consensus(vals, net.comm_neighbors)
+            assert np.all(out == vals.max())
+            assert rounds <= net.comm_diameter
 
     def test_disconnected_graph_raises(self):
         nbrs = [frozenset(), frozenset()]

@@ -82,13 +82,14 @@ class TestMetrics:
         rounds = build_auxiliary_graph(two_flow_network).diameter + 1
         assert m.summation_rounds == rounds * res.primal_iters
         assert m.aux_construction_rounds == S - 1
-        assert len(m.per_iteration) == res.primal_iters
 
     def test_snapshot_deltas_sum_to_totals(self, two_flow_network):
+        # the per-step consensus rounds in the trace add up to the total
         res = newton_solve(BarrierProblem(two_flow_network, 1.0), SolverConfig())
-        m = res.metrics
-        total = sum(row["delta"]["dual_rounds"] for row in m.per_iteration)
-        assert total == m.dual_rounds
+        assert res.primal_iters > 1
+        assert all(rec.consensus_rounds > 0 for rec in res.trace)
+        total = sum(rec.consensus_rounds for rec in res.trace)
+        assert total == res.metrics.consensus_rounds
 
     def test_standalone_counter(self):
         m = MessageMetrics()

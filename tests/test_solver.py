@@ -7,7 +7,6 @@ import pytest
 import netnewton
 from netnewton import (
     BarrierProblem,
-    DualGraph,
     LogUtility,
     SolverConfig,
     build_dual_graph,
@@ -142,9 +141,8 @@ class TestNewtonSolve:
 
     def test_one_splitting_per_primal_step(self, monkeypatch):
         # count calls under every netnewton module that binds each function
-        names = ("build_splitting", "build_dual_graph", "init_dual_state")
+        names = ("build_splitting", "spectral_radius", "build_dual_graph", "init_dual_state")
         calls = dict.fromkeys(names, 0)
-        returned = {}
         modules = [m for n, m in list(sys.modules.items())
                    if m is not None and (n == "netnewton" or n.startswith("netnewton."))]
         for name in names:
@@ -152,23 +150,26 @@ class TestNewtonSolve:
 
             def counted(*args, _name=name, _fn=original, **kwargs):
                 calls[_name] += 1
-                returned[_name] = _fn(*args, **kwargs)
-                return returned[_name]
+                return _fn(*args, **kwargs)
 
             for mod in modules:
                 if mod.__dict__.get(name) is original:
                     monkeypatch.setattr(mod, name, counted)
         net = draw_network(np.random.default_rng(3))
-        res = newton_solve(BarrierProblem(net, 1.0), SolverConfig())
-        assert res.primal_iters > 1
-        assert calls == {
-            "build_splitting": res.primal_iters,
-            "build_dual_graph": 0,
-            "init_dual_state": 0,
-        }
-        # the eigensolve reads the sweep's cached operator, not a copy
-        split = returned["build_splitting"]
-        assert DualGraph.from_splitting(split).iteration_matrix is split.iteration_matrix
+        # with or without the per-step spectral report, one build and one
+        # eigensolve per primal step
+        for record_spectra in (False, True):
+            calls.update(dict.fromkeys(names, 0))
+            config = SolverConfig(record_spectra=record_spectra)
+            res = newton_solve(BarrierProblem(net, 1.0), config)
+            assert res.primal_iters > 1
+            assert calls == {
+                "build_splitting": res.primal_iters,
+                "spectral_radius": res.primal_iters,
+                "build_dual_graph": 0,
+                "init_dual_state": 0,
+            }, record_spectra
+            assert all((rec.dual_graph is not None) == record_spectra for rec in res.trace)
 
     def test_contraction_factor_never_below_lambda1(self):
         # two links crossed by the same two sources: with a utility scale of
@@ -301,10 +302,6 @@ class TestTwoPass:
         tp_plain = two_pass_solve(two_flow_network, cfg)
         tp_shift = two_pass_solve(shifted, cfg)
         np.testing.assert_allclose(tp_shift.x, tp_plain.x, rtol=1e-9)
-
-    def test_no_shift_raises_when_disabled(self, two_flow_network):
-        with pytest.raises(ValueError, match="shift"):
-            two_pass_solve(two_flow_network, SolverConfig(a=0.01), auto_shift=False)
 
 
 class TestReference:

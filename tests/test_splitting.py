@@ -202,7 +202,7 @@ class TestSpectral:
 
     def test_congested_example_matches_reported_values(self, congested_example):
         _, H, _ = example_state(congested_example)
-        report = spectral_diagnostics(congested_example, H)
+        report = spectral_diagnostics(build_dual_graph(congested_example, H))
         assert report.max_out_degree == pytest.approx(0.4615, abs=5e-3)
         assert report.upper_bound == pytest.approx(0.92, abs=5e-3)
         assert report.max_cut == pytest.approx(0.52, abs=5e-3)
@@ -212,7 +212,7 @@ class TestSpectral:
 
     def test_spread_example_matches_reported_values(self, spread_example):
         _, H, _ = example_state(spread_example)
-        report = spectral_diagnostics(spread_example, H)
+        report = spectral_diagnostics(build_dual_graph(spread_example, H))
         assert report.max_out_degree == pytest.approx(0.095, abs=2e-3)
         assert report.upper_bound == pytest.approx(0.19, abs=5e-3)
         assert report.lambda1 == pytest.approx(0.12, abs=0.05)
@@ -221,7 +221,7 @@ class TestSpectral:
     def test_single_shared_link_bounds(self):
         net = build_network([[1, 1, 1]], [3.0], [LogUtility(2.0)] * 3)
         _, H, _ = init_state(net)
-        report = spectral_diagnostics(net, H)
+        report = spectral_diagnostics(build_dual_graph(net, H))
         # a single link has no coupling at all
         assert report.lambda1 == pytest.approx(0.0, abs=1e-12)
         assert report.max_cut == 0.0
@@ -229,7 +229,9 @@ class TestSpectral:
 
     def test_enumeration_limit_skips_cut(self, two_flow_network):
         _, H, _ = init_state(two_flow_network)
-        report = spectral_diagnostics(two_flow_network, H, max_cut_limit=3)
+        report = spectral_diagnostics(
+            build_dual_graph(two_flow_network, H), max_cut_limit=3
+        )
         assert report.max_cut is None
         assert report.lower_bound is None
         assert report.lambda1 is not None
