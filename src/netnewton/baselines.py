@@ -85,20 +85,20 @@ class FirstOrderResult:
         return float(self.objective_history[-1])
 
 
-def subgradient_family_stepsize(network: Network, safety: float = 0.9) -> float:
+def subgradient_family_stepsize(network: Network) -> float:
     """Convergence-guaranteeing constant stepsize for the subgradient method.
 
     Uses the classic sufficient condition: below 2 divided by the product
     of the longest route, the busiest link, and the largest curvature of
     the rate response (bounded by cap^2 / min utility weight for the
-    utilities in use here).
+    utilities in use here). The stepsize is 90% of that bound.
     """
     R = network.routing
     longest_route = float(R.sum(axis=0).max())
     busiest_link = float(R.sum(axis=1).max())
     cap = np.full(network.num_sources, float(network.capacities.max()))
     curv = float((-1.0 / utility_terms(network, "d2", cap)).max())
-    return safety * 2.0 / (longest_route * busiest_link * curv)
+    return 0.9 * 2.0 / (longest_route * busiest_link * curv)
 
 
 def band_entry(history, h_ref: float, band: float) -> int | None:

@@ -12,12 +12,12 @@ remaining absolute error by epsilon, and iterates until it is met.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Network
-from .metrics import MessageMetrics
 from .splitting import SplittingData, dual_step_matrix
 
 __all__ = [
@@ -38,7 +38,9 @@ class ErrorCertificate:
 
     stage 1 acceptance means beta >= 1 (relative test alone suffices for
     any epsilon); stage 2 acceptance means consecutive prices moved less
-    than h_threshold in sup norm. dual_iters counts the sweeps spent.
+    than h_threshold in sup norm. dual_iters counts the sweeps spent and
+    consensus_passes the network-wide maxima taken; the message charge
+    for both is MessageMetrics.count_price_solve.
     """
 
     stage: int
@@ -47,6 +49,7 @@ class ErrorCertificate:
     dual_iters: int
     F: float
     T: int
+    consensus_passes: int
 
     def to_dict(self) -> dict:
         return {
@@ -76,6 +79,20 @@ class DualControlConfig:
             raise ValueError("epsilon must be positive")
         if self.T < 1:
             raise ValueError("stage-1 budget T must be at least 1")
+
+    @classmethod
+    def from_lambda1(cls, lam1: float, p: float, epsilon: float, T: int | None = None):
+        """Control for a price iteration whose contraction factor is lam1.
+
+        F takes 5% headroom above lam1, but is never more pessimistic than
+        halving its gap to 1, which keeps F in [lam1, 1). Without a given
+        T, stage 1 runs the sweeps that shrink the error tenfold at rate F
+        (at least two).
+        """
+        F = min(max(1.05 * lam1, 1e-6), 0.5 * (1.0 + lam1))
+        if T is None:
+            T = max(2, math.ceil(math.log(0.1) / math.log(F)))
+        return cls(T=T, p=p, epsilon=epsilon, F=F)
 
 
 def stage1_beta(network, w_t, w_t1, big_pi0, big_pi_t, F, p) -> float:
@@ -170,95 +187,66 @@ def run_dual_with_error_control(
     split: SplittingData,
     cfg: DualControlConfig,
     warm_start_w=None,
-    metrics: MessageMetrics | None = None,
 ):
     """Iterate prices until the direction-error tolerance is certified.
 
     Stage 1 performs T sweeps from the warm start and evaluates the
     relative test on the last pair (the accepted prices are the
-    second-to-last iterate, whose error the final sweep measures). If
-    beta < 1, stage 2 fixes the change threshold h from that beta and
-    keeps sweeping until consecutive prices move less than h. Acceptance
-    re-evaluates beta at the terminal pair; if it certifies less than the
-    beta used to derive h, the threshold is tightened and iteration
+    second-to-last iterate, whose error the final sweep measures). While
+    the certified beta is below 1, stage 2 derives the change threshold h
+    from it, sweeps until consecutive prices move less than h, and
+    re-evaluates beta at the terminal pair. A retest that certifies less
+    than the beta used to derive h tightens the threshold and iteration
     continues, so the returned pair always satisfies both stage bounds
     together.
 
     split is the splitting of the dual system at the current primal point
     (build_splitting of hessian_diag and the gradient).
 
-    Returns (accepted prices, ErrorCertificate).
+    Returns (accepted prices, ErrorCertificate); the certificate counts
+    the sweeps and the max-consensus passes the solve executed.
     """
     H = np.asarray(hessian_diag, dtype=float)
-    S = network.num_sources
     ones = np.ones(network.num_links)
     if warm_start_w is None:
         warm_start_w = ones
     pi0 = network.routing.T @ ones
     big_pi0 = _weighted_route_price(network, H, ones)
-    if metrics is not None:
-        metrics.count_init_exchange(S)
-    diam = network.comm_diameter
 
-    def consensus_cost(times=1):
-        if metrics is not None:
-            for _ in range(times):
-                metrics.count_consensus(diam)
+    def retest(w_prev, w_cur):
+        return stage1_beta(
+            network, w_prev, w_cur, big_pi0, _weighted_route_price(network, H, w_prev),
+            cfg.F, cfg.p,
+        )
 
     w_prev = np.array(warm_start_w, dtype=float)
     w_cur = dual_step_matrix(split, w_prev)
     for _ in range(cfg.T - 1):
         w_prev, w_cur = w_cur, dual_step_matrix(split, w_cur)
     steps = cfg.T
-    if metrics is not None:
-        metrics.count_dual_round(S, cfg.T)
-
-    beta = stage1_beta(
-        network, w_prev, w_cur, big_pi0, _weighted_route_price(network, H, w_prev),
-        cfg.F, cfg.p,
+    beta = retest(w_prev, w_cur)
+    passes = 2  # the price change and beta
+    h = None
+    while not beta >= 1.0:  # a NaN beta goes on to stage2_h, which rejects it
+        h = stage2_h(network, H, big_pi0, pi0, beta, cfg.epsilon, cfg.F)
+        while True:
+            w_prev, w_cur = w_cur, dual_step_matrix(split, w_cur)
+            steps += 1
+            if steps > cfg.iter_cap:
+                raise RuntimeError(
+                    "price iteration exceeded the cap; F may underestimate the "
+                    "contraction factor"
+                )
+            if np.abs(w_cur - w_prev).max() <= h:
+                break
+        beta_final = retest(w_prev, w_cur)
+        passes += 2  # agreeing on h, and the retest
+        if beta <= beta_final < 1.0:
+            # both certified bounds hold at w_prev with the tighter beta
+            break
+        beta = beta_final  # certifies stage 1, or tightens h
+    return w_prev, ErrorCertificate(
+        stage=1 if beta >= 1.0 else 2, beta=beta, h_threshold=h, dual_iters=steps,
+        F=cfg.F, T=cfg.T,
+        consensus_passes=passes + steps - cfg.T,  # one price-change max per stage-2 sweep
     )
-    consensus_cost(2)  # one pass for the price change, one for beta
-
-    if beta >= 1.0:
-        cert = ErrorCertificate(
-            stage=1, beta=beta, h_threshold=None, dual_iters=steps, F=cfg.F, T=cfg.T
-        )
-        return w_prev, cert
-
-    h = stage2_h(network, H, big_pi0, pi0, beta, cfg.epsilon, cfg.F)
-    consensus_cost(1)  # agreeing on the threshold h
-    while True:
-        w_prev, w_cur = w_cur, dual_step_matrix(split, w_cur)
-        steps += 1
-        if metrics is not None:
-            metrics.count_dual_round(S)
-        consensus_cost(1)  # per-sweep price-change maximum
-        if steps > cfg.iter_cap:
-            raise RuntimeError(
-                "price iteration exceeded the cap; F may underestimate the "
-                "contraction factor"
-            )
-        if np.abs(w_cur - w_prev).max() <= h:
-            beta_final = stage1_beta(
-                network, w_prev, w_cur, big_pi0,
-                _weighted_route_price(network, H, w_prev), cfg.F, cfg.p,
-            )
-            consensus_cost(1)
-            if beta_final >= 1.0:
-                cert = ErrorCertificate(
-                    stage=1, beta=beta_final, h_threshold=h, dual_iters=steps,
-                    F=cfg.F, T=cfg.T,
-                )
-                return w_prev, cert
-            if beta_final >= beta:
-                # both certified bounds hold at w_prev with the tighter beta
-                cert = ErrorCertificate(
-                    stage=2, beta=beta, h_threshold=h, dual_iters=steps,
-                    F=cfg.F, T=cfg.T,
-                )
-                return w_prev, cert
-            # the terminal pair certifies a weaker margin than h assumed;
-            # tighten the threshold and keep sweeping
-            beta = beta_final
-            h = stage2_h(network, H, big_pi0, pi0, beta, cfg.epsilon, cfg.F)
-            consensus_cost(1)

@@ -32,14 +32,21 @@ class MessageMetrics:
         self.dual_feedbacks += times * num_sources
         self.dual_pushes += times * num_sources
 
-    def count_init_exchange(self, num_sources: int) -> None:
-        # local Hessian/gradient push, all-ones feedback, scaled price push
-        self.init_pushes += 2 * num_sources
-        self.init_feedbacks += num_sources
-
     def count_consensus(self, rounds: int) -> None:
         self.consensus_execs += 1
         self.consensus_rounds += rounds
+
+    def count_price_solve(self, network, cert) -> None:
+        """Charge one error-controlled price solve from its certificate:
+        the init exchange, its sweeps, and its max-consensus passes, each
+        comm_diameter rounds."""
+        S = network.num_sources
+        # init: local Hessian/gradient push, all-ones feedback, scaled price push
+        self.init_pushes += 2 * S
+        self.init_feedbacks += S
+        self.count_dual_round(S, cert.dual_iters)
+        self.consensus_execs += cert.consensus_passes
+        self.consensus_rounds += cert.consensus_passes * network.comm_diameter
 
     def totals(self) -> dict:
         return {

@@ -169,6 +169,7 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
     metrics = MessageMetrics()
     metrics.aux_construction_rounds = aux.rounds
     x = feasible_init(net).values.copy()
+    resid = feasibility_residual(net, x)
     w_warm = np.ones(net.num_links)
     damped = True
     trace: list[TraceRecord] = []
@@ -179,14 +180,12 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
         g = eval_grad(problem, x)
         H = eval_hessian_diag(problem, x)
         split = build_splitting(net, H, g)
-        spectra = spectral_diagnostics(split) if config.record_spectra else None
+        # no max cut per step: its exhaustive 2^(L-1) enumeration would dominate
+        spectra = spectral_diagnostics(split, max_cut_limit=0) if config.record_spectra else None
         lam1 = spectral_radius(split) if spectra is None else spectra.lambda1
-        # 5% headroom above the measured contraction factor, but never more
-        # pessimistic than halving its gap to 1, which keeps F in [lam1, 1)
-        F = min(max(1.05 * lam1, 1e-6), 0.5 * (1.0 + lam1))
-        T = config.T if config.T is not None else max(2, math.ceil(math.log(0.1) / math.log(F)))
-        dual_cfg = DualControlConfig(T=T, p=config.p, epsilon=config.epsilon, F=F)
-        w, cert = run_dual_with_error_control(net, H, split, dual_cfg, w_warm, metrics)
+        dual_cfg = DualControlConfig.from_lambda1(lam1, config.p, config.epsilon, config.T)
+        w, cert = run_dual_with_error_control(net, H, split, dual_cfg, w_warm)
+        metrics.count_price_solve(net, cert)
         direction = primal_direction(net, H, g, w)
         theta, sum_rounds = compute_theta(net, aux, direction.delta, H)
         metrics.summation_rounds += sum_rounds
@@ -206,7 +205,7 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
             consensus_rounds=metrics.consensus_rounds - consensus_start,
             summation_rounds=sum_rounds,
             min_slack=float(x[S:].min()),
-            feas_residual=feasibility_residual(net, x),
+            feas_residual=resid,
             certificate=cert,
             x=x.copy() if config.store_iterates else None,
             dual_graph=None if spectra is None else spectra.to_dict(),
@@ -238,26 +237,21 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
     )
 
 
-def reference_solve(
-    problem: BarrierProblem,
-    x0=None,
-    tol: float = 1e-12,
-    max_iters: int = 500,
-    V: float = 0.12,
-    b: float | None = None,
-) -> SolveResult:
+def reference_solve(problem: BarrierProblem, x0=None, tol: float = 1e-12) -> SolveResult:
     """Exact method: dense price solve and exact decrement every step.
 
     Used as the high-accuracy reference the distributed method is compared
-    against; shares the stepsize rule with exact inputs.
+    against; shares the stepsize rule with exact inputs, at the default
+    V = 0.12 and its damping constant, for at most 500 steps.
     """
     net = problem.network
-    b = _default_b(V) if b is None else b
+    V = 0.12
+    b = _default_b(V)
     x = feasible_init(net).values.copy() if x0 is None else np.array(x0, dtype=float)
     damped = True
     trace = []
     converged = False
-    for k in range(max_iters):
+    for k in range(500):
         g = eval_grad(problem, x)
         H = eval_hessian_diag(problem, x)
         delta, _ = kkt_direction(net, H, g)
@@ -280,13 +274,14 @@ def reference_solve(
     )
 
 
-def reference_optimum(network: Network, scale_max: float = 1e8):
+def reference_optimum(network: Network):
     """High-accuracy optimum of the capacity-constrained problem itself.
 
     Follows the central path by raising the utility scale geometrically
-    (equivalent to shrinking the barrier weight to 1/scale_max) with warm
-    starts, solving each stage with the exact method. Returns (x, h).
+    up to 1e8 (equivalent to shrinking the barrier weight to 1e-8) with
+    warm starts, solving each stage with the exact method. Returns (x, h).
     """
+    scale_max = 1e8
     x = feasible_init(network).values.copy()
     scale = 1.0
     while True:

@@ -211,9 +211,8 @@ def test_criterion_06_error_control_soundness():
             H = eval_hessian_diag(res_problem := BarrierProblem(net, 1.0), rec.x)
             g = eval_grad(res_problem, rec.x)
             lam1 = spectral_radius(build_dual_graph(net, H))
-            F = min(max(1.05 * lam1, 1e-6), 0.999)
-            dual_cfg = DualControlConfig(
-                T=int(rng.integers(1, 10)), p=1e-3, epsilon=1e-4, F=F
+            dual_cfg = DualControlConfig.from_lambda1(
+                lam1, p=1e-3, epsilon=1e-4, T=int(rng.integers(1, 10))
             )
             split = build_splitting(net, H, g)
             w, cert = run_dual_with_error_control(net, H, split, dual_cfg)
@@ -227,7 +226,7 @@ def test_criterion_06_error_control_soundness():
         # fixed-point distance bound along a fresh run on the same state
         split = build_splitting(net, H, g)
         w_star = solve_dual_exact(net, H, g)
-        amp = np.sqrt(net.num_links) / (1.0 - F)
+        amp = np.sqrt(net.num_links) / (1.0 - dual_cfg.F)
         w = np.ones(net.num_links)
         for _ in range(40):
             w_next = dual_step_matrix(split, w)

@@ -108,8 +108,7 @@ class TestDecrements:
             from netnewton import build_dual_graph, spectral_radius
 
             lam1 = spectral_radius(build_dual_graph(net, H))
-            F = min(max(1.05 * lam1, 1e-6), 0.999)
-            cfg = DualControlConfig(T=5, p=p, epsilon=eps, F=F)
+            cfg = DualControlConfig.from_lambda1(lam1, p, eps, T=5)
             split = build_splitting(net, H, g)
             w, _ = run_dual_with_error_control(net, H, split, cfg)
             lam_tilde = primal_direction(net, H, g, w).decrement

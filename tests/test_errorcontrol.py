@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import netnewton
 from netnewton import (
     DualControlConfig,
     build_dual_graph,
@@ -22,8 +23,9 @@ from conftest import draw_network, init_state
 
 
 def control_setup(net, H):
+    """The contraction factor F the solver picks at this Hessian."""
     lam1 = spectral_radius(build_dual_graph(net, H))
-    return min(max(1.05 * lam1, 1e-6), 0.999)
+    return DualControlConfig.from_lambda1(lam1, p=1e-3, epsilon=1e-4).F
 
 
 def assumption_error(net, H, g, w):
@@ -225,6 +227,39 @@ class TestRunWithErrorControl:
                 assert lhs <= rhs * (1 + 1e-9) + 1e-15
                 w = w_next
 
+    def test_tightened_threshold_keeps_the_tolerance(self, two_flow_network, monkeypatch):
+        # target prices whose route price for source 0 is zero: near them the
+        # retest certifies a smaller margin than the one h came from, so the
+        # threshold is derived again, on some draws dozens of times
+        net = two_flow_network
+        A = net.incidence
+        derived = []
+        original = netnewton.errorcontrol.stage2_h
+
+        def counted(*args, **kwargs):
+            derived[-1] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(netnewton.errorcontrol, "stage2_h", counted)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            H = rng.uniform(0.5, 2.0, 7)
+            w_star = rng.uniform(0.5, 2.0, 5)
+            w_star[3] = -(w_star[0] + w_star[2])
+            # a gradient whose dual system A H^-1 A' w = -A H^-1 g solves at w_star
+            G = (A / H) @ A.T
+            g = -H * (A.T @ np.linalg.solve(A @ A.T, G @ w_star))
+            split = build_splitting(net, H, g)
+            cfg = DualControlConfig.from_lambda1(
+                spectral_radius(split), p=1e-3, epsilon=1e-4, T=1
+            )
+            derived.append(0)
+            w, cert = run_dual_with_error_control(net, H, split, cfg)
+            err, inexact = assumption_error(net, H, g, w)
+            lam_sq = float(np.sum(inexact * inexact * H))
+            assert err <= cfg.p**2 * lam_sq + cfg.epsilon + 1e-12, cert
+        assert sum(n > 1 for n in derived) >= 10, derived
+
     def test_iteration_cap_raises(self, two_flow_network):
         _, H, g = init_state(two_flow_network)
         cfg = DualControlConfig(
@@ -236,14 +271,25 @@ class TestRunWithErrorControl:
 
     def test_metrics_accounting(self, two_flow_network):
         _, H, g = init_state(two_flow_network)
-        metrics = MessageMetrics()
         cfg = DualControlConfig(T=3, p=1e-3, epsilon=1e-4, F=control_setup(two_flow_network, H))
         split = build_splitting(two_flow_network, H, g)
-        w, cert = run_dual_with_error_control(two_flow_network, H, split, cfg, metrics=metrics)
+        w, cert = run_dual_with_error_control(two_flow_network, H, split, cfg)
+        metrics = MessageMetrics()
+        metrics.count_price_solve(two_flow_network, cert)
         assert metrics.dual_rounds == cert.dual_iters
         assert metrics.dual_feedbacks == 2 * metrics.dual_rounds  # S = 2
         assert metrics.consensus_execs >= 2
         assert metrics.consensus_rounds == metrics.consensus_execs * two_flow_network.comm_diameter
+
+    def test_contraction_factor_from_lambda1(self):
+        cfg = DualControlConfig.from_lambda1(0.5, p=1e-3, epsilon=1e-4)
+        assert cfg.F == pytest.approx(0.525)  # 5% headroom
+        assert cfg.T == 4  # 0.525**4 < 0.1 < 0.525**3
+        # near 1 the headroom is capped at half the gap
+        assert DualControlConfig.from_lambda1(0.95, 1e-3, 1e-4).F == pytest.approx(0.975)
+        floor = DualControlConfig.from_lambda1(0.0, 1e-3, 1e-4)
+        assert floor.F == 1e-6 and floor.T == 2
+        assert DualControlConfig.from_lambda1(0.5, 1e-3, 1e-4, T=7).T == 7
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from netnewton import (
     random_network,
     run_comparison,
     save_network,
+    two_pass_solve,
 )
 from netnewton.cli import main
 from netnewton.experiment import ExperimentSpec, load_experiment_spec
@@ -90,6 +91,23 @@ class TestMetrics:
         assert all(rec.consensus_rounds > 0 for rec in res.trace)
         total = sum(rec.consensus_rounds for rec in res.trace)
         assert total == res.metrics.consensus_rounds
+
+    def test_study_trial_0_counts_pinned(self):
+        # seed-7 study trial 0; pass 2 repeats pass 1 and is not run
+        seed = np.random.SeedSequence(7).spawn(1)[0]
+        net = random_network(15, 8, 0.5, seed)
+        tp = two_pass_solve(net, SolverConfig(store_iterates=False))
+        assert tp.pass2_reused
+        assert tp.pass1.metrics.totals() == {
+            "dual_rounds": 637, "init_pushes": 368, "init_feedbacks": 184,
+            "dual_pushes": 5096, "dual_feedbacks": 5096, "consensus_execs": 335,
+            "consensus_rounds": 1675, "summation_rounds": 115,
+            "aux_construction_rounds": 7,
+        }
+        assert [rec.consensus_rounds for rec in tp.traces] == [
+            30, 25, 25, 30, 30, 30, 35, 40, 45, 50, 65, 90, 130, 170, 210, 225,
+            220, 175, 10, 10, 10, 10, 10,
+        ]
 
     def test_standalone_counter(self):
         m = MessageMetrics()

@@ -171,6 +171,21 @@ class TestNewtonSolve:
             }, record_spectra
             assert all((rec.dual_graph is not None) == record_spectra for rec in res.trace)
 
+    def test_per_step_spectra_skip_the_max_cut(self, monkeypatch):
+        # the exhaustive enumeration covers 2^(L-1) cuts; the per-step
+        # report leaves it out (the spectra command keeps it)
+        def enumerated(split):
+            raise AssertionError("newton_solve enumerated a max cut")
+
+        monkeypatch.setattr(netnewton.splitting, "weighted_max_cut", enumerated)
+        net = random_network(20, 10, 0.5, [2010, 20, 10])
+        res = newton_solve(BarrierProblem(net, 1.0), SolverConfig(record_spectra=True))
+        assert res.converged and res.primal_iters > 1
+        for rec in res.trace:
+            assert rec.dual_graph["lower"] is None
+            assert rec.dual_graph["max_cut"] is None
+            assert rec.dual_graph["lambda1"] <= rec.certificate.F
+
     def test_contraction_factor_never_below_lambda1(self):
         # two links crossed by the same two sources: with a utility scale of
         # 1e4 the price iteration's contraction factor climbs above 0.999
