@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Network, utility_terms
+from .model import Network, utility_method, utility_terms
 
 __all__ = [
     "FirstOrderConfig",
@@ -114,11 +114,18 @@ def band_entry(history, h_ref: float, band: float) -> int | None:
     return entry if entry < len(h) else None
 
 
-def _best_response(network: Network, prices: np.ndarray, cap: float) -> np.ndarray:
-    """Rates maximizing utility minus route price, clamped to [0, cap]."""
-    route_price = network.routing.T @ prices
-    s = utility_terms(network, "inverse_d1", np.maximum(route_price, 1e-12))
-    return np.where(route_price > 1e-12, np.minimum(np.maximum(s, 0.0), cap), cap)
+def _best_response(R_T, prices, inverse_d1, cap: float, out) -> np.ndarray:
+    """Rates maximizing utility minus route price, clamped to [0, cap], into
+    out. R_T is the transposed routing matrix and inverse_d1 the bound
+    utility_method(network, "inverse_d1"). A source whose route price is
+    at most 1e-12 gets cap, as np.where(route_price > 1e-12, clamp, cap)
+    would give for every finite route price."""
+    route_price = np.dot(R_T, prices)
+    s = inverse_d1(np.maximum(route_price, 1e-12))
+    np.maximum(s, 0.0, out=out)
+    np.minimum(out, cap, out=out)
+    out[route_price <= 1e-12] = cap
+    return out
 
 
 def _price_iteration(
@@ -128,15 +135,21 @@ def _price_iteration(
     update, keeping each iterate's rates, overload and prices in a row of
     a block; after each block it evaluates the objective, the minimum
     slack, the divergence test and the stopping rule over the block's rows,
-    so it stops on the same iterate as a check after every update would."""
+    so it stops on the same iterate as a check after every update would.
+    Everything an iterate looks up (the bound utility methods, R', the
+    rows it writes) is bound once per solve."""
     R = network.routing
+    R_T = R.T
     c = network.capacities
     cap = config.rate_cap if config.rate_cap is not None else 2.0 * float(c.max())
     stepsize, floor = config.stepsize, config.curvature_floor
+    inverse_d1 = utility_method(network, "inverse_d1")
+    d2 = utility_method(network, "d2") if scaled else None
     band = None if h_ref is None else config.band_scale(h_ref)
     rates = np.empty((_BLOCK, network.num_sources))
     overload = np.empty((_BLOCK, network.num_links))
     prices = np.empty((_BLOCK, network.num_links))
+    rows = list(zip(rates, overload, prices))
     w = np.zeros(network.num_links)
     h_blocks, slack_blocks = [], []
     stable = 0
@@ -149,15 +162,15 @@ def _price_iteration(
         # errors can only come from a diverged iterate or the ones after it,
         # and the block is cut at the first diverged iterate below.
         with np.errstate(all="ignore"):
-            for j in range(n):
-                s = rates[j] = _best_response(network, w, cap)
-                o = np.subtract(R @ s, c, out=overload[j])
+            for s, o, p in rows[:n]:
+                _best_response(R_T, w, inverse_d1, cap, s)
+                np.subtract(np.dot(R, s), c, out=o)
                 if scaled:
-                    curv = R @ (-1.0 / utility_terms(network, "d2", s))
+                    curv = np.dot(R, -1.0 / d2(s))
                     step = stepsize * o / np.maximum(curv, floor)
                 else:
                     step = stepsize * o
-                w = np.maximum(0.0, w + step, out=prices[j])
+                w = np.maximum(0.0, w + step, out=p)
         finite = prices[:n].max(axis=1) <= 1e12  # also catches nan
         m = n if finite.all() else int(np.argmin(finite))  # rows before divergence
         values = utility_terms(network, "value", np.maximum(rates[:m], 1e-300))
@@ -188,7 +201,7 @@ def _price_iteration(
     h_arr = np.concatenate(h_blocks)
     entry = None if h_ref is None else band_entry(h_arr, h_ref, config.band)
     return FirstOrderResult(
-        rates=_best_response(network, w, cap),
+        rates=_best_response(R_T, w, inverse_d1, cap, np.empty(network.num_sources)),
         prices=w,
         objective_history=h_arr,
         min_slack_history=np.concatenate(slack_blocks),

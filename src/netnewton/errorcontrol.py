@@ -128,11 +128,13 @@ def stage1_beta(network, w_t, w_t1, big_pi0, big_pi_t, F, p) -> float:
 def stage2_h(network, hessian_diag, big_pi0, pi0, beta, epsilon, F) -> float:
     """Sup-norm threshold on consecutive price changes for stage 2.
 
-    Valid for beta in (0, 1); meeting ||w(t+1) - w(t)||_inf <= h certifies
+    Valid for beta in [0, 1); meeting ||w(t+1) - w(t)||_inf <= h certifies
     gamma' H gamma <= epsilon / (1 - beta). Shrinks like sqrt(epsilon).
+    stage1_beta returns 0 when a route price vanishes; the cap is then
+    epsilon alone.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError("stage 2 applies only when beta is in (0, 1)")
+    if not 0.0 <= beta < 1.0:
+        raise ValueError("stage 2 applies only when beta is in [0, 1)")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     H = np.asarray(hessian_diag, dtype=float)

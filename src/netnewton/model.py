@@ -30,6 +30,7 @@ __all__ = [
     "eval_hessian_diag",
     "eval_h",
     "utility_terms",
+    "utility_method",
     "load_network",
     "save_network",
     "utility_from_dict",
@@ -378,18 +379,30 @@ def _split(problem: BarrierProblem, x):
     return vals, vals[:S], vals[S:]
 
 
+def utility_method(network: Network, method: str):
+    """The function s -> utility_terms(network, method, s), bound once so
+    that a loop can call it many times: the family's own method when one
+    family covers every source, a scatter over the families otherwise."""
+    groups = network.utility_groups
+    if len(groups) == 1:
+        return getattr(groups[0][1], method)
+    bound = [(idx, getattr(stacked, method)) for idx, stacked in groups]
+
+    def scatter(s):
+        out = np.empty(s.shape)
+        for idx, fn in bound:
+            out[..., idx] = fn(s[..., idx])
+        return out
+
+    return scatter
+
+
 def utility_terms(network: Network, method: str, s) -> np.ndarray:
     """Entry [..., i] is network.utilities[i].<method>(s[..., i]) for the
     utility method named (value, d1, d2, d3 or inverse_d1), evaluated family
     by family. The last axis of s is the sources; leading axes stack
     several rate vectors."""
-    groups = network.utility_groups
-    if len(groups) == 1:
-        return getattr(groups[0][1], method)(s)
-    out = np.empty(s.shape)
-    for idx, stacked in groups:
-        out[..., idx] = getattr(stacked, method)(s[..., idx])
-    return out
+    return utility_method(network, method)(s)
 
 
 def eval_f(problem: BarrierProblem, x) -> float:

@@ -1,8 +1,10 @@
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import netnewton
 from netnewton import (
     FirstOrderConfig,
     LogUtility,
@@ -16,11 +18,20 @@ from netnewton import (
 from netnewton.baselines import (
     _BLOCK,
     FirstOrderResult,
-    _best_response,
     _price_iteration,
 )
 from netnewton.experiment import FAMILY_FIXTURES
 from netnewton.model import utility_terms
+
+
+def oracle_best_response(network, prices, cap):
+    """The oracle's own best response, kept apart from baselines'
+    _best_response so that the blocked loop is checked against code it
+    does not share: rates maximizing utility minus route price, clamped to
+    [0, cap], and cap where the route price vanishes."""
+    route_price = network.routing.T @ prices
+    s = utility_terms(network, "inverse_d1", np.maximum(route_price, 1e-12))
+    return np.where(route_price > 1e-12, np.minimum(np.maximum(s, 0.0), cap), cap)
 
 
 def oracle_price_iteration(network, config, h_ref, scaled):
@@ -37,7 +48,7 @@ def oracle_price_iteration(network, config, h_ref, scaled):
     converged = False
     iterations = config.max_iters
     for k in range(1, config.max_iters + 1):
-        s = _best_response(network, w, cap)
+        s = oracle_best_response(network, w, cap)
         overload = R @ s - c
         if scaled:
             curv = R @ (-1.0 / utility_terms(network, "d2", s))
@@ -74,7 +85,7 @@ def oracle_price_iteration(network, config, h_ref, scaled):
         entry = outside[-1] + 1 if outside else 0  # never leaves the band after
         iters_to_band = entry + 1 if entry < len(h_arr) else None
     return FirstOrderResult(
-        rates=_best_response(network, w, cap),
+        rates=oracle_best_response(network, w, cap),
         prices=w,
         objective_history=h_arr,
         min_slack_history=np.array(slack_hist),
@@ -262,6 +273,45 @@ class TestBlockedLoop:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(RuntimeError, match="diverged at step 301;"):
                 _price_iteration(net, cfg, None, scaled)
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_study_trial_matches_oracle(self, scaled):
+        # trial 0 of the seed-7 study: one log family over 15 links and 8
+        # sources, four blocks without a stop
+        net = random_network(15, 8, 0.5, np.random.SeedSequence(7).spawn(1)[0])
+        _, h_ref = reference_optimum(net)
+        stepsize = (
+            FAMILY_FIXTURES["diagonal_stepsize"] if scaled else subgradient_family_stepsize(net)
+        )
+        cfg = FirstOrderConfig(stepsize=stepsize, max_iters=1000)
+        expected = oracle_price_iteration(net, cfg, h_ref, scaled)
+        assert not expected.converged and expected.iterations == 1000
+        assert_same_run(_price_iteration(net, cfg, h_ref, scaled), expected)
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_utility_dispatch_bound_once_per_block(self, two_flow_network, monkeypatch, scaled):
+        # count calls under every netnewton module that binds each function
+        names = ("utility_method", "utility_terms")
+        calls = dict.fromkeys(names, 0)
+        modules = [m for n, m in list(sys.modules.items())
+                   if m is not None and (n == "netnewton" or n.startswith("netnewton."))]
+        for name in names:
+            original = getattr(netnewton.model, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for mod in modules:
+                if mod.__dict__.get(name) is original:
+                    monkeypatch.setattr(mod, name, counted)
+        cfg = FirstOrderConfig(stepsize=0.001, max_iters=1000)
+        res = _price_iteration(two_flow_network, cfg, None, scaled)
+        assert not res.converged and res.iterations == 1000
+        blocks = -(-1000 // _BLOCK)
+        # per block the objective; per solve the bound methods of the update
+        assert calls["utility_terms"] <= blocks + 1, calls
+        assert calls["utility_method"] <= blocks + 2, calls
 
     def test_iterates_after_a_divergence_raise_no_warning(self, two_flow_network):
         # at this stepsize the block's later iterates reach zero rates, whose

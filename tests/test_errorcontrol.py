@@ -36,6 +36,13 @@ def assumption_error(net, H, g, w):
     return float(np.sum(gamma * gamma * H)), inexact
 
 
+def gradient_solved_at(net, H, w_star):
+    """A gradient whose dual system A H^-1 A' w = -A H^-1 g solves at w_star."""
+    A = net.incidence
+    G = (A / H) @ A.T
+    return -H * (A.T @ np.linalg.solve(A @ A.T, G @ w_star))
+
+
 class TestStage1:
     def test_converged_prices_give_infinite_beta(self, two_flow_network):
         _, H, g = init_state(two_flow_network)
@@ -127,8 +134,19 @@ class TestStage2:
         _, H, _ = init_state(two_flow_network)
         pi0 = two_flow_network.routing.T @ np.ones(5)
         big_pi0 = (1 / H[:2]) * pi0
-        with pytest.raises(ValueError):
-            stage2_h(two_flow_network, H, big_pi0, pi0, 1.2, 1e-4, 0.5)
+        for beta in (1.2, float("nan"), -0.1):
+            with pytest.raises(ValueError):
+                stage2_h(two_flow_network, H, big_pi0, pi0, beta, 1e-4, 0.5)
+
+    def test_zero_beta_caps_by_epsilon_alone(self, two_flow_network):
+        # stage1_beta returns 0 when a route price vanishes
+        _, H, _ = init_state(two_flow_network)
+        pi0 = two_flow_network.routing.T @ np.ones(5)
+        big_pi0 = (1 / H[:2]) * pi0
+        h0 = stage2_h(two_flow_network, H, big_pi0, pi0, 0.0, 1e-4, 0.5)
+        assert h0 == pytest.approx(
+            stage2_h(two_flow_network, H, big_pi0, pi0, 0.5, 5e-5, 0.5), rel=1e-12
+        )
 
 
 class TestMaxConsensus:
@@ -232,7 +250,6 @@ class TestRunWithErrorControl:
         # retest certifies a smaller margin than the one h came from, so the
         # threshold is derived again, on some draws dozens of times
         net = two_flow_network
-        A = net.incidence
         derived = []
         original = netnewton.errorcontrol.stage2_h
 
@@ -246,9 +263,7 @@ class TestRunWithErrorControl:
             H = rng.uniform(0.5, 2.0, 7)
             w_star = rng.uniform(0.5, 2.0, 5)
             w_star[3] = -(w_star[0] + w_star[2])
-            # a gradient whose dual system A H^-1 A' w = -A H^-1 g solves at w_star
-            G = (A / H) @ A.T
-            g = -H * (A.T @ np.linalg.solve(A @ A.T, G @ w_star))
+            g = gradient_solved_at(net, H, w_star)
             split = build_splitting(net, H, g)
             cfg = DualControlConfig.from_lambda1(
                 spectral_radius(split), p=1e-3, epsilon=1e-4, T=1
@@ -259,6 +274,25 @@ class TestRunWithErrorControl:
             lam_sq = float(np.sum(inexact * inexact * H))
             assert err <= cfg.p**2 * lam_sq + cfg.epsilon + 1e-12, cert
         assert sum(n > 1 for n in derived) >= 10, derived
+
+    def test_vanished_route_price_keeps_the_tolerance(self, two_flow_network):
+        # target prices drawn from (-1, 1): on draw 1 a retest finds a route
+        # price below 1e-14, so stage1_beta certifies beta = 0 and stage 2
+        # derives its threshold from the epsilon cap alone
+        net = two_flow_network
+        rng = np.random.default_rng(3)
+        for _ in range(2):
+            H = rng.uniform(0.5, 2.0, 7)
+            w_star = rng.uniform(-1.0, 1.0, 5)
+            w_star[3] = -(w_star[0] + w_star[2])
+        g = gradient_solved_at(net, H, w_star)
+        split = build_splitting(net, H, g)
+        cfg = DualControlConfig.from_lambda1(spectral_radius(split), p=1e-3, epsilon=1e-4, T=1)
+        w, cert = run_dual_with_error_control(net, H, split, cfg)
+        assert cert.stage == 2 and cert.beta == 0.0
+        err, inexact = assumption_error(net, H, g, w)
+        lam_sq = float(np.sum(inexact * inexact * H))
+        assert err <= cfg.p**2 * lam_sq + cfg.epsilon + 1e-12, cert
 
     def test_iteration_cap_raises(self, two_flow_network):
         _, H, g = init_state(two_flow_network)
