@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .auxgraph import build_auxiliary_graph
-from .experiment import load_experiment_spec, random_network, run_comparison
+from .experiment import ExperimentSpec, load_experiment_spec, random_network, run_comparison
 from .model import (
     BarrierProblem,
     eval_hessian_diag,
@@ -55,16 +55,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run the distributed method on a network file")
     solve.add_argument("network", help="network JSON file")
-    solve.add_argument("--mu", type=float, default=1.0)
-    solve.add_argument("--p", type=float, default=1e-3)
-    solve.add_argument("--epsilon", type=float, default=1e-4)
-    solve.add_argument("--V", type=float, default=0.12)
+    solve.add_argument("--mu", type=float, default=SolverConfig.mu)
+    solve.add_argument("--p", type=float, default=SolverConfig.p)
+    solve.add_argument("--epsilon", type=float, default=SolverConfig.epsilon)
+    solve.add_argument("--V", type=float, default=SolverConfig.V)
     solve.add_argument("--b", type=float, default=None)
-    solve.add_argument("--theta-term", type=float, default=1e-8)
-    solve.add_argument("--max-iters", type=int, default=200)
+    solve.add_argument("--theta-term", type=float, default=SolverConfig.theta_term)
+    solve.add_argument("--max-iters", type=int, default=SolverConfig.max_primal_iters)
     solve.add_argument("--two-pass", action="store_true",
                        help="run the rescaled second pass (relative target --a)")
-    solve.add_argument("--a", type=float, default=0.01)
+    solve.add_argument("--a", type=float, default=SolverConfig.a)
     solve.add_argument("--trace", help="write the iteration trace CSV here")
     solve.add_argument("--json", dest="json_out",
                        help="write the full trace JSON (certificates included)")
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     spect = sub.add_parser("spectra", help="dual-graph spectral report")
     spect.add_argument("network")
-    spect.add_argument("--mu", type=float, default=1.0)
+    spect.add_argument("--mu", type=float, default=BarrierProblem.mu)
     spect.add_argument("--out", help="write the report JSON here")
 
     aux = sub.add_parser("aux-dump", help="dump the companion graph")
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a seeded random network file")
     gen.add_argument("--links", type=int, required=True)
     gen.add_argument("--sources", type=int, required=True)
-    gen.add_argument("--prob", type=float, default=0.5)
+    gen.add_argument("--prob", type=float, default=ExperimentSpec.bernoulli_p)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", help="output file (default: stdout)")
 

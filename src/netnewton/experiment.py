@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -62,10 +62,10 @@ class ExperimentSpec:
     methods: tuple = ("newton", "diagonal", "subgradient")
     subgradient_stepsize: float | None = None
     diagonal_stepsize: float | None = None
-    max_first_order_iters: int = 500_000
+    max_first_order_iters: int = FirstOrderConfig.max_iters
     omega_range: tuple = (5.0, 15.0)
     capacity_range: tuple = (20.0, 50.0)
-    a: float = 0.01
+    a: float = SolverConfig.a
     outdir: str | None = None
 
     def __post_init__(self):
@@ -82,11 +82,30 @@ class ExperimentSpec:
             raise TypeError(f"outdir must be a string, got {self.outdir!r}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if self.max_first_order_iters < 1:
-            raise ValueError("max_first_order_iters must be positive")
         unknown = set(self.methods) - {"newton", "diagonal", "subgradient"}
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+        # The configs the rows run with own the checks on a, the stepsizes
+        # and the iteration cap, so building them here rejects what every
+        # row would reject. A stepsize derived per instance needs no check.
+        self.newton_config()
+        for method in ("diagonal", "subgradient"):
+            if (stepsize := self.stepsize(method)) is not None:
+                self.first_order_config(stepsize)
+
+    def newton_config(self) -> SolverConfig:
+        """The config every Newton row runs with."""
+        return SolverConfig(a=self.a, store_iterates=False)
+
+    def stepsize(self, method: str) -> float | None:
+        """The first-order method's stepsize: the spec's, else the family
+        fixture; None leaves it to subgradient_family_stepsize per instance."""
+        own = getattr(self, f"{method}_stepsize")
+        return FAMILY_FIXTURES[f"{method}_stepsize"] if own is None else own
+
+    def first_order_config(self, stepsize: float) -> FirstOrderConfig:
+        """The config a first-order row runs with at this stepsize."""
+        return FirstOrderConfig(stepsize=stepsize, max_iters=self.max_first_order_iters)
 
 
 def load_experiment_spec(path) -> ExperimentSpec:
@@ -96,7 +115,7 @@ def load_experiment_spec(path) -> ExperimentSpec:
             if key in doc:
                 doc[key] = tuple(doc[key])
         return ExperimentSpec(**doc)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed experiment spec {path}: {exc}") from exc
 
 
@@ -105,8 +124,8 @@ def random_network(
     sources: int,
     bernoulli_p: float,
     seed,
-    omega_range=(5.0, 15.0),
-    capacity_range=(20.0, 50.0),
+    omega_range=ExperimentSpec.omega_range,
+    capacity_range=ExperimentSpec.capacity_range,
     max_redraws: int = 10**4,
 ) -> Network:
     """Draw a valid instance; the whole routing matrix is redrawn on any
@@ -184,21 +203,7 @@ class ComparisonSummary:
             "log10_counts": {
                 m: [float(np.log10(c)) for c in self.counts(m)] for m in methods
             },
-            "trials": [
-                {
-                    "trial": r.trial,
-                    "method": r.method,
-                    "counted_iters": r.counted_iters,
-                    "iters_to_band": r.iters_to_band,
-                    "h_final": r.h_final,
-                    "h_ref": r.h_ref,
-                    "rel_error": r.rel_error,
-                    "final_feasible": r.final_feasible,
-                    "min_slack_overall": r.min_slack_overall,
-                    "error": r.error,
-                }
-                for r in self.rows
-            ],
+            "trials": [asdict(r) for r in self.rows],
         }
 
 
@@ -220,16 +225,6 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonSummary:
     """
     summary = ComparisonSummary(spec=spec)
     seeds = np.random.SeedSequence(spec.seed).spawn(spec.trials)
-    sub_step = (
-        spec.subgradient_stepsize
-        if spec.subgradient_stepsize is not None
-        else FAMILY_FIXTURES["subgradient_stepsize"]
-    )
-    diag_step = (
-        spec.diagonal_stepsize
-        if spec.diagonal_stepsize is not None
-        else FAMILY_FIXTURES["diagonal_stepsize"]
-    )
     for trial, seed in enumerate(seeds):
         net = random_network(
             spec.links,
@@ -248,8 +243,7 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonSummary:
             )
             try:
                 if method == "newton":
-                    config = SolverConfig(a=spec.a, store_iterates=False)
-                    res = two_pass_solve(net, config)
+                    res = two_pass_solve(net, spec.newton_config())
                     row.counted_iters = res.total_dual_iters
                     row.iters_to_band = _newton_band_entry(res, h_ref, 0.05)
                     row.h_final = res.h_final
@@ -261,14 +255,11 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonSummary:
                         rec.min_slack for rec in res.traces
                     )
                 else:
-                    stepsize = (
-                        subgradient_family_stepsize(net) if sub_step is None else sub_step
-                    ) if method == "subgradient" else diag_step
-                    cfg = FirstOrderConfig(
-                        stepsize=stepsize, max_iters=spec.max_first_order_iters
-                    )
+                    stepsize = spec.stepsize(method)
+                    if stepsize is None:
+                        stepsize = subgradient_family_stepsize(net)
                     solve = subgradient_solve if method == "subgradient" else diagonal_scaled_solve
-                    res = solve(net, cfg, h_ref=h_ref)
+                    res = solve(net, spec.first_order_config(stepsize), h_ref=h_ref)
                     if not res.converged:
                         row.error = "did not meet the termination criterion"
                     else:

@@ -8,7 +8,7 @@ the headline iteration count excludes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 __all__ = ["MessageMetrics"]
 
@@ -32,10 +32,6 @@ class MessageMetrics:
         self.dual_feedbacks += times * num_sources
         self.dual_pushes += times * num_sources
 
-    def count_consensus(self, rounds: int) -> None:
-        self.consensus_execs += 1
-        self.consensus_rounds += rounds
-
     def count_price_solve(self, network, cert) -> None:
         """Charge one error-controlled price solve from its certificate:
         the init exchange, its sweeps, and its max-consensus passes, each
@@ -49,14 +45,4 @@ class MessageMetrics:
         self.consensus_rounds += cert.consensus_passes * network.comm_diameter
 
     def totals(self) -> dict:
-        return {
-            "dual_rounds": self.dual_rounds,
-            "init_pushes": self.init_pushes,
-            "init_feedbacks": self.init_feedbacks,
-            "dual_pushes": self.dual_pushes,
-            "dual_feedbacks": self.dual_feedbacks,
-            "consensus_execs": self.consensus_execs,
-            "consensus_rounds": self.consensus_rounds,
-            "summation_rounds": self.summation_rounds,
-            "aux_construction_rounds": self.aux_construction_rounds,
-        }
+        return asdict(self)

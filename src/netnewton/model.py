@@ -249,11 +249,12 @@ def _graph_diameter(neighbors) -> int:
 def build_network(routing, capacities, utilities, routes=None) -> Network:
     """Validate and assemble a Network.
 
-    Rejects instances with an unused link or a source crossing no link,
-    nonpositive capacities, a link structure that does not hang together
-    under shared flows, and utilities that fail the concavity or
-    self-concordance checks. When routes is omitted, each route is the
-    ascending list of that source's links.
+    Rejects empty instances, instances with an unused link or a source
+    crossing no link, capacities that are not finite and positive, a link
+    structure that does not hang together under shared flows, and
+    utilities that fail the concavity or self-concordance checks. When
+    routes is omitted, each route is the ascending list of that source's
+    links.
     """
     R = np.asarray(routing, dtype=float)
     if R.ndim != 2:
@@ -261,6 +262,8 @@ def build_network(routing, capacities, utilities, routes=None) -> Network:
     if not np.all((R == 0) | (R == 1)):
         raise InvalidNetworkError("routing entries must be 0 or 1")
     L, S = R.shape
+    if L == 0 or S == 0:
+        raise InvalidNetworkError("a network needs at least one link and one source")
     c = np.asarray(capacities, dtype=float)
     if c.shape != (L,):
         raise InvalidNetworkError(f"expected {L} capacities, got shape {c.shape}")
@@ -270,8 +273,8 @@ def build_network(routing, capacities, utilities, routes=None) -> Network:
         raise InvalidNetworkError("every link must be used by at least one source")
     if np.any(R.sum(axis=0) < 1):
         raise InvalidNetworkError("every source must traverse at least one link")
-    if np.any(c <= 0):
-        raise InvalidNetworkError("capacities must be strictly positive")
+    if not np.all((c > 0) & (c < np.inf)):
+        raise InvalidNetworkError("capacities must be finite and strictly positive")
 
     if routes is None:
         routes = tuple(
@@ -420,8 +423,10 @@ def eval_grad(problem: BarrierProblem, x) -> np.ndarray:
 
 def eval_hessian_diag(problem: BarrierProblem, x) -> np.ndarray:
     vals, s, _ = _split(problem, x)
-    h = problem.mu / vals**2
-    h[: len(s)] -= problem.scale * utility_terms(problem.network, "d2", s)
+    # an entry that overflows comes back as inf, which build_splitting rejects
+    with np.errstate(divide="ignore", over="ignore"):
+        h = problem.mu / vals**2
+        h[: len(s)] -= problem.scale * utility_terms(problem.network, "d2", s)
     if problem.mu == 0 and np.any(h <= 0):
         raise ValueError("hessian is not positive definite without the barrier")
     return h

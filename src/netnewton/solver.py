@@ -21,6 +21,7 @@ from .direction import inexact_decrement, kkt_direction, primal_direction
 from .errorcontrol import DualControlConfig, run_dual_with_error_control
 from .metrics import MessageMetrics
 from .model import (
+    FEASIBILITY_RTOL,
     BarrierProblem,
     Network,
     eval_f,
@@ -47,9 +48,6 @@ __all__ = [
     "write_trace_csv",
     "trace_to_json",
 ]
-
-FEAS_ASSERT_RTOL = 1e-9
-
 
 def _default_b(V: float) -> float:
     lo = (V + 1.0) / (2.0 * V + 1.0)
@@ -100,6 +98,8 @@ class SolverConfig:
             raise ValueError("epsilon must be positive")
         if self.a <= 0:
             raise ValueError("two-pass target a must be positive")
+        if self.max_primal_iters < 1:
+            raise ValueError("max_primal_iters must be at least 1")
         tau_cap = (1.0 / self.b - 1.0) * (1.0 + self.V)
         if abs(self.tau_noise) > tau_cap:
             raise ValueError(f"|tau_noise| must not exceed {tau_cap:.6f}")
@@ -143,7 +143,6 @@ class SolveResult:
     x: np.ndarray
     trace: list
     converged: bool
-    total_dual_iters: int
     metrics: MessageMetrics
     f_final: float
     h_final: float
@@ -151,6 +150,10 @@ class SolveResult:
     @property
     def primal_iters(self) -> int:
         return len(self.trace)
+
+    @property
+    def total_dual_iters(self) -> int:
+        return self.metrics.dual_rounds
 
 
 def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
@@ -221,7 +224,7 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
                 "iterate lost strict positivity; stepsize window violated"
             )
         resid = feasibility_residual(net, x)
-        if resid > FEAS_ASSERT_RTOL:
+        if resid > FEASIBILITY_RTOL:
             raise AssertionError(f"flow conservation drifted: residual {resid:.3e}")
         if config.dual_warm_start:
             w_warm = w
@@ -230,7 +233,6 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
         x=x,
         trace=trace,
         converged=converged,
-        total_dual_iters=metrics.dual_rounds,
         metrics=metrics,
         f_final=eval_f(problem, x),
         h_final=eval_h(net, x),
@@ -242,10 +244,10 @@ def reference_solve(problem: BarrierProblem, x0=None, tol: float = 1e-12) -> Sol
 
     Used as the high-accuracy reference the distributed method is compared
     against; shares the stepsize rule with exact inputs, at the default
-    V = 0.12 and its damping constant, for at most 500 steps.
+    V and its damping constant, for at most 500 steps.
     """
     net = problem.network
-    V = 0.12
+    V = SolverConfig.V
     b = _default_b(V)
     x = feasible_init(net).values.copy() if x0 is None else np.array(x0, dtype=float)
     damped = True
@@ -267,7 +269,6 @@ def reference_solve(problem: BarrierProblem, x0=None, tol: float = 1e-12) -> Sol
         x=x,
         trace=trace,
         converged=converged,
-        total_dual_iters=0,
         metrics=MessageMetrics(),
         f_final=eval_f(problem, x),
         h_final=eval_h(net, x),
@@ -303,8 +304,11 @@ class TwoPassResult:
     pass2: SolveResult
     scale: float
     shift: float
-    h_pass1: float
     h_final: float
+
+    @property
+    def h_pass1(self) -> float:
+        return self.pass1.h_final
 
     @property
     def pass2_reused(self) -> bool:
@@ -360,7 +364,7 @@ def two_pass_solve(network: Network, config: SolverConfig) -> TwoPassResult:
     nu = network.num_sources + network.num_links
     prob1 = BarrierProblem(network, config.mu, 1.0)
     res1 = newton_solve(prob1, config)
-    h1 = eval_h(network, res1.x)
+    h1 = res1.h_final
     margin = h1 - config.mu * nu
     if margin > 0 and config.a * margin <= nu:
         shift = 0.0
@@ -379,8 +383,7 @@ def two_pass_solve(network: Network, config: SolverConfig) -> TwoPassResult:
         pass2=res2,
         scale=scale,
         shift=shift,
-        h_pass1=h1,
-        h_final=eval_h(network, res2.x),
+        h_final=res2.h_final,
     )
 
 
@@ -548,10 +551,14 @@ def phase_diagnostics(
 # trace output
 # ---------------------------------------------------------------------------
 
+# The scalar TraceRecord fields each trace row carries, in CSV column
+# order. The JSON rows also carry summation_rounds, which the CSV has never
+# had; certificates and spectra are JSON-only too.
 TRACE_COLUMNS = [
     "k", "f", "h", "lambda_tilde", "theta", "stepsize", "phase",
     "dual_iters", "consensus_rounds", "min_slack", "feas_residual",
 ]
+_JSON_TRACE_COLUMNS = TRACE_COLUMNS + ["summation_rounds"]
 
 
 def write_trace_csv(trace, path) -> None:
@@ -559,21 +566,8 @@ def write_trace_csv(trace, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for rec in trace:
-            writer.writerow(
-                [
-                    rec.k,
-                    repr(rec.f),
-                    repr(rec.h),
-                    repr(rec.lambda_tilde),
-                    repr(rec.theta),
-                    repr(rec.stepsize),
-                    rec.phase,
-                    rec.dual_iters,
-                    rec.consensus_rounds,
-                    repr(rec.min_slack),
-                    repr(rec.feas_residual),
-                ]
-            )
+            # csv writes a float as str(), which is its repr
+            writer.writerow([getattr(rec, c) for c in TRACE_COLUMNS])
 
 
 def trace_to_json(result: SolveResult, config: SolverConfig | None = None) -> dict:
@@ -593,20 +587,7 @@ def trace_to_json(result: SolveResult, config: SolverConfig | None = None) -> di
             "a": config.a,
         }
     for rec in result.trace:
-        row = {
-            "k": rec.k,
-            "f": rec.f,
-            "h": rec.h,
-            "lambda_tilde": rec.lambda_tilde,
-            "theta": rec.theta,
-            "stepsize": rec.stepsize,
-            "phase": rec.phase,
-            "dual_iters": rec.dual_iters,
-            "consensus_rounds": rec.consensus_rounds,
-            "summation_rounds": rec.summation_rounds,
-            "min_slack": rec.min_slack,
-            "feas_residual": rec.feas_residual,
-        }
+        row = {c: getattr(rec, c) for c in _JSON_TRACE_COLUMNS}
         if rec.certificate is not None:
             row["certificate"] = rec.certificate.to_dict()
         if rec.dual_graph is not None:

@@ -86,8 +86,8 @@ def build_splitting(network: Network, hessian_diag, grad) -> SplittingData:
     L, S = network.num_links, network.num_sources
     if H.shape != (S + L,) or g.shape != (S + L,):
         raise ValueError("hessian_diag and grad must have length S + L")
-    if np.any(H <= 0):
-        raise ValueError("hessian diagonal must be strictly positive")
+    if not np.all((H > 0) & (H < np.inf)):
+        raise ValueError("hessian diagonal must be finite and strictly positive")
     A = network.incidence
     G = (A * (1.0 / H)) @ A.T
     dk = np.diag(G).copy()

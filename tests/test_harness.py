@@ -21,7 +21,7 @@ from netnewton import (
     save_network,
     two_pass_solve,
 )
-from netnewton.cli import main
+from netnewton.cli import build_parser, main
 from netnewton.experiment import ExperimentSpec, load_experiment_spec
 from netnewton.model import network_to_dict
 
@@ -113,10 +113,8 @@ class TestMetrics:
         m = MessageMetrics()
         m.count_dual_round(3)
         m.count_dual_round(3)
-        m.count_consensus(4)
         assert m.totals()["dual_rounds"] == 2
         assert m.totals()["dual_feedbacks"] == 6
-        assert m.totals()["consensus_rounds"] == 4
 
     def test_batched_dual_rounds_match_single_rounds(self):
         single, batched = MessageMetrics(), MessageMetrics()
@@ -161,6 +159,14 @@ class TestRunComparison:
                 assert row.min_slack_overall < 0  # feasible only in the end
             assert row.final_feasible
 
+    def test_study_row_keys(self, small_summary):
+        _, summary = small_summary
+        for row in summary.to_dict()["trials"]:
+            assert set(row) == {
+                "trial", "method", "counted_iters", "iters_to_band", "h_final",
+                "h_ref", "rel_error", "final_feasible", "min_slack_overall", "error",
+            }
+
     def test_deterministic_rerun(self, small_summary):
         spec, summary = small_summary
         again = run_comparison(spec)
@@ -175,6 +181,9 @@ class TestRunComparison:
     def test_invalid_method_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             ExperimentSpec(methods=("newton", "genie"))
+
+
+_ONE_LOG_SOURCE = '[{"route": [0], "utility": {"family": "log"}}]'
 
 
 class TestCli:
@@ -267,12 +276,46 @@ class TestCli:
         {"trials": 1, "a": "x"},
         {"trials": 1, "omega_range": [0.2, 0.5]},
         {"trials": 1, "max_first_order_iters": 0},
+        {"trials": 1, "a": 0},
+        {"trials": 1, "a": -0.5},
+        {"trials": 1, "diagonal_stepsize": -1},
+        {"trials": 1, "subgradient_stepsize": 0},
     ])
     def test_malformed_spec_rejected(self, tmp_path, capsys, doc):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
         assert main(["compare", str(spec)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_nonpositive_max_iters_rejected(self, capsys, example_file, cap):
+        assert main(["solve", str(example_file), "--max-iters", cap]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("links, sources, message", [
+        ("[1e309]", _ONE_LOG_SOURCE, "capacities must be finite"),
+        ("[NaN]", _ONE_LOG_SOURCE, "capacities must be finite"),
+        ("[]", "[]", "at least one link and one source"),
+        # the Hessian at the feasible start overflows to inf
+        ("[1e-300]", _ONE_LOG_SOURCE, "hessian diagonal must be finite"),
+    ], ids=["inf-capacity", "nan-capacity", "empty", "hessian-overflow"])
+    def test_unusable_network_rejected(self, tmp_path, capsys, links, sources, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"links": {links}, "sources": {sources}}}')
+        assert main(["solve", str(bad)]) in (1, 2)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+    def test_parser_defaults_have_one_owner(self):
+        parser = build_parser()
+        args = vars(parser.parse_args(["solve", "x.json"]))
+        config = SolverConfig()
+        names = {"max_iters": "max_primal_iters"}
+        for flag in ("mu", "p", "epsilon", "V", "theta_term", "max_iters", "a"):
+            assert args[flag] == getattr(config, names.get(flag, flag)), flag
+        assert parser.parse_args(["spectra", "x.json"]).mu == BarrierProblem.mu
+        gen = parser.parse_args(["gen", "--links", "2", "--sources", "2"])
+        assert gen.prob == ExperimentSpec().bernoulli_p
 
     @pytest.mark.parametrize("command", ["solve", "compare"])
     def test_directory_argument_rejected(self, tmp_path, capsys, command):

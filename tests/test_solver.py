@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import sys
 
@@ -53,6 +54,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(tau_noise=cap * 1.01)
         SolverConfig(tau_noise=cap * 0.99)
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_max_primal_iters_floor(self, cap):
+        with pytest.raises(ValueError, match="max_primal_iters"):
+            SolverConfig(max_primal_iters=cap)
+        SolverConfig(max_primal_iters=1)
 
 
 class TestStepsizeRule:
@@ -403,3 +410,46 @@ class TestTraceOutput:
         doc = trace_to_json(res, cfg)
         assert doc["trace"][0]["certificate"]["stage"] in (1, 2)
         assert "lambda1" in doc["trace"][0]["dual_graph"]
+
+    @staticmethod
+    def oracle_csv_row(rec) -> list:
+        """Test oracle: the CSV row as the writer spelled it out by hand
+        before TRACE_COLUMNS became the one schema, as the strings csv
+        reads back."""
+        return [
+            str(rec.k), repr(rec.f), repr(rec.h), repr(rec.lambda_tilde),
+            repr(rec.theta), repr(rec.stepsize), rec.phase, str(rec.dual_iters),
+            str(rec.consensus_rounds), repr(rec.min_slack), repr(rec.feas_residual),
+        ]
+
+    @staticmethod
+    def oracle_json_row(rec) -> dict:
+        """Test oracle: the JSON trace row as trace_to_json spelled it out
+        by hand before TRACE_COLUMNS became the one schema."""
+        row = {
+            "k": rec.k, "f": rec.f, "h": rec.h, "lambda_tilde": rec.lambda_tilde,
+            "theta": rec.theta, "stepsize": rec.stepsize, "phase": rec.phase,
+            "dual_iters": rec.dual_iters, "consensus_rounds": rec.consensus_rounds,
+            "summation_rounds": rec.summation_rounds, "min_slack": rec.min_slack,
+            "feas_residual": rec.feas_residual,
+        }
+        if rec.certificate is not None:
+            row["certificate"] = rec.certificate.to_dict()
+        if rec.dual_graph is not None:
+            row["dual_graph"] = rec.dual_graph
+        return row
+
+    @pytest.mark.parametrize("spectra", [False, True])
+    def test_writers_match_hand_written_rows(self, tmp_path, two_flow_network, spectra):
+        cfg = SolverConfig(record_spectra=spectra)
+        res = newton_solve(BarrierProblem(two_flow_network, 1.0), cfg)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(res.trace, path)
+        with open(path, newline="") as fh:
+            body = list(csv.reader(fh))[1:]
+        assert body == [self.oracle_csv_row(rec) for rec in res.trace]
+        rows = trace_to_json(res, cfg)["trace"]
+        assert rows == [self.oracle_json_row(rec) for rec in res.trace]
+        extra = {"certificate", "dual_graph"} if spectra else {"certificate"}
+        for row in rows:
+            assert len(set(row) - extra) == 12 and extra <= set(row)
