@@ -48,6 +48,7 @@ from .solver import (
     TwoPassResult,
     newton_solve,
     phase_diagnostics,
+    reference_optima,
     reference_optimum,
     reference_solve,
     stepsize_rule,

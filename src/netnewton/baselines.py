@@ -58,9 +58,10 @@ class FirstOrderConfig:
         return self.band * max(abs(h_ref), 1.0)
 
     def __post_init__(self):
-        if self.stepsize <= 0:
+        # Each check is written so that it also rejects NaN.
+        if not self.stepsize > 0:
             raise ValueError("stepsize must be positive")
-        if self.max_iters < 1 or self.stable_window < 1:
+        if not (self.max_iters >= 1 and self.stable_window >= 1):
             raise ValueError("max_iters and stable_window must be at least 1")
         if not (self.band > 0 and self.curvature_floor > 0):
             raise ValueError("band and curvature_floor must be positive")

@@ -28,7 +28,7 @@ from .baselines import (
     subgradient_solve,
 )
 from .model import InvalidNetworkError, LogUtility, Network, build_network
-from .solver import SolverConfig, reference_optimum, two_pass_solve
+from .solver import SolverConfig, reference_optima, two_pass_solve
 
 __all__ = [
     "ExperimentSpec",
@@ -135,9 +135,9 @@ def random_network(
         raise ValueError("links and sources must be positive")
     if not 0 < bernoulli_p <= 1:
         raise ValueError("bernoulli_p must lie in (0, 1]")
-    if omega_range[0] < 1:
+    if not omega_range[0] >= 1:
         raise ValueError("log utility weights must be at least 1")
-    if capacity_range[0] <= 0:
+    if not capacity_range[0] > 0:
         raise ValueError("capacities must be strictly positive")
     rng = np.random.default_rng(seed)
     for _ in range(max_redraws):
@@ -220,13 +220,13 @@ def _newton_band_entry(result, h_ref: float, band: float) -> int | None:
 def run_comparison(spec: ExperimentSpec) -> ComparisonSummary:
     """Run every requested method on every seeded trial instance.
 
+    Every instance is drawn first and their reference optima are solved as
+    one stack; the rows then run trial by trial, one solve per row.
     Failures are caught and recorded on the affected row; the remaining
     trials still contribute to the summary.
     """
-    summary = ComparisonSummary(spec=spec)
-    seeds = np.random.SeedSequence(spec.seed).spawn(spec.trials)
-    for trial, seed in enumerate(seeds):
-        net = random_network(
+    nets = [
+        random_network(
             spec.links,
             spec.sources,
             spec.bernoulli_p,
@@ -234,8 +234,10 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonSummary:
             omega_range=spec.omega_range,
             capacity_range=spec.capacity_range,
         )
-        _, h_ref = reference_optimum(net)
-        summary.h_refs.append(h_ref)
+        for seed in np.random.SeedSequence(spec.seed).spawn(spec.trials)
+    ]
+    summary = ComparisonSummary(spec=spec, h_refs=[h for _, h in reference_optima(nets)])
+    for trial, (net, h_ref) in enumerate(zip(nets, summary.h_refs)):
         for method in spec.methods:
             row = TrialRow(
                 trial=trial, method=method, counted_iters=None, iters_to_band=None,

@@ -31,6 +31,10 @@ __all__ = [
     "eval_h",
     "utility_terms",
     "utility_method",
+    "group_method",
+    "stack_utility_groups",
+    "barrier_grad",
+    "barrier_hessian_diag",
     "load_network",
     "save_network",
     "utility_from_dict",
@@ -315,9 +319,9 @@ class BarrierProblem:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise ValueError("mu must be nonnegative")
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise ValueError("objective scale must be positive")
 
 
@@ -382,11 +386,24 @@ def _split(problem: BarrierProblem, x):
     return vals, vals[:S], vals[S:]
 
 
-def utility_method(network: Network, method: str):
-    """The function s -> utility_terms(network, method, s), bound once so
-    that a loop can call it many times: the family's own method when one
-    family covers every source, a scatter over the families otherwise."""
-    groups = network.utility_groups
+def stack_utility_groups(networks) -> tuple:
+    """The utility_groups of networks that share one utility layout, with
+    each family's parameters stacked to (T, n): row t holds networks[t]'s.
+    group_method binds their methods to (T, S) rates."""
+    return tuple(
+        (idx, type(first)(**{
+            f.name: np.stack([getattr(net.utility_groups[j][1], f.name) for net in networks])
+            for f in fields(first)
+        }))
+        for j, (idx, first) in enumerate(networks[0].utility_groups)
+    )
+
+
+def group_method(groups, method: str):
+    """The function s -> entry [..., i] of utility i's method at s[..., i],
+    for groups laid out as Network.utility_groups: the family's own method
+    when one family covers every source, a scatter over the families
+    otherwise."""
     if len(groups) == 1:
         return getattr(groups[0][1], method)
     bound = [(idx, getattr(stacked, method)) for idx, stacked in groups]
@@ -398,6 +415,12 @@ def utility_method(network: Network, method: str):
         return out
 
     return scatter
+
+
+def utility_method(network: Network, method: str):
+    """The function s -> utility_terms(network, method, s), bound once so
+    that a loop can call it many times."""
+    return group_method(network.utility_groups, method)
 
 
 def utility_terms(network: Network, method: str, s) -> np.ndarray:
@@ -414,19 +437,34 @@ def eval_f(problem: BarrierProblem, x) -> float:
     return -problem.scale * util - problem.mu * float(np.sum(np.log(vals)))
 
 
+def barrier_grad(x, num_sources: int, mu: float, scale: float, d1) -> np.ndarray:
+    """Gradient of f at x, given the bound utility derivative d1 (see
+    utility_method). The last axis of x is (rates, slacks); leading axes
+    stack several points."""
+    g = -mu / x
+    g[..., :num_sources] -= scale * d1(x[..., :num_sources])
+    return g
+
+
+def barrier_hessian_diag(x, num_sources: int, mu: float, scale: float, d2) -> np.ndarray:
+    """Hessian diagonal of f at x, laid out as in barrier_grad."""
+    # an entry that overflows comes back as inf, which build_splitting rejects
+    with np.errstate(divide="ignore", over="ignore"):
+        h = mu / x**2
+        h[..., :num_sources] -= scale * d2(x[..., :num_sources])
+    return h
+
+
 def eval_grad(problem: BarrierProblem, x) -> np.ndarray:
     vals, s, _ = _split(problem, x)
-    g = -problem.mu / vals
-    g[: len(s)] -= problem.scale * utility_terms(problem.network, "d1", s)
-    return g
+    return barrier_grad(vals, len(s), problem.mu, problem.scale,
+                        utility_method(problem.network, "d1"))
 
 
 def eval_hessian_diag(problem: BarrierProblem, x) -> np.ndarray:
     vals, s, _ = _split(problem, x)
-    # an entry that overflows comes back as inf, which build_splitting rejects
-    with np.errstate(divide="ignore", over="ignore"):
-        h = problem.mu / vals**2
-        h[: len(s)] -= problem.scale * utility_terms(problem.network, "d2", s)
+    h = barrier_hessian_diag(vals, len(s), problem.mu, problem.scale,
+                             utility_method(problem.network, "d2"))
     if problem.mu == 0 and np.any(h <= 0):
         raise ValueError("hessian is not positive definite without the barrier")
     return h

@@ -17,19 +17,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auxgraph import build_auxiliary_graph, compute_theta
-from .direction import inexact_decrement, kkt_direction, primal_direction
+from .direction import inexact_decrement, kkt_direction, primal_direction, stacked_kkt_direction
 from .errorcontrol import DualControlConfig, run_dual_with_error_control
 from .metrics import MessageMetrics
 from .model import (
     FEASIBILITY_RTOL,
     BarrierProblem,
     Network,
+    barrier_grad,
+    barrier_hessian_diag,
     eval_f,
     eval_grad,
     eval_h,
     eval_hessian_diag,
     feasibility_residual,
     feasible_init,
+    group_method,
+    stack_utility_groups,
 )
 from .splitting import build_splitting, spectral_diagnostics, spectral_radius
 
@@ -43,6 +47,7 @@ __all__ = [
     "newton_solve",
     "reference_solve",
     "reference_optimum",
+    "reference_optima",
     "two_pass_solve",
     "phase_diagnostics",
     "write_trace_csv",
@@ -90,18 +95,21 @@ class SolverConfig:
         lo = (self.V + 1.0) / (2.0 * self.V + 1.0)
         if not lo < self.b < 1.0:
             raise ValueError(f"b must lie in ({lo:.6f}, 1)")
-        if self.mu < 1.0:
+        # Each check is written so that it also rejects NaN.
+        if not self.mu >= 1.0:
             raise ValueError("the solver requires mu >= 1")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie in (0, 1)")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.a <= 0:
+        if not self.theta_term >= 0:
+            raise ValueError("theta_term must be non-negative")
+        if not self.a > 0:
             raise ValueError("two-pass target a must be positive")
-        if self.max_primal_iters < 1:
+        if not self.max_primal_iters >= 1:
             raise ValueError("max_primal_iters must be at least 1")
         tau_cap = (1.0 / self.b - 1.0) * (1.0 + self.V)
-        if abs(self.tau_noise) > tau_cap:
+        if not abs(self.tau_noise) <= tau_cap:
             raise ValueError(f"|tau_noise| must not exceed {tau_cap:.6f}")
 
 
@@ -239,12 +247,17 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
     )
 
 
+# The exact method's step cap, per reference_solve call and per stage of
+# reference_optima's central path.
+_REFERENCE_MAX_STEPS = 500
+
+
 def reference_solve(problem: BarrierProblem, x0=None, tol: float = 1e-12) -> SolveResult:
     """Exact method: dense price solve and exact decrement every step.
 
     Used as the high-accuracy reference the distributed method is compared
     against; shares the stepsize rule with exact inputs, at the default
-    V and its damping constant, for at most 500 steps.
+    V and its damping constant, for at most _REFERENCE_MAX_STEPS steps.
     """
     net = problem.network
     V = SolverConfig.V
@@ -253,7 +266,7 @@ def reference_solve(problem: BarrierProblem, x0=None, tol: float = 1e-12) -> Sol
     damped = True
     trace = []
     converged = False
-    for k in range(500):
+    for k in range(_REFERENCE_MAX_STEPS):
         g = eval_grad(problem, x)
         H = eval_hessian_diag(problem, x)
         delta, _ = kkt_direction(net, H, g)
@@ -276,22 +289,73 @@ def reference_solve(problem: BarrierProblem, x0=None, tol: float = 1e-12) -> Sol
 
 
 def reference_optimum(network: Network):
-    """High-accuracy optimum of the capacity-constrained problem itself.
+    """High-accuracy optimum of the capacity-constrained problem itself:
+    the batch of one of reference_optima. Returns (x, h)."""
+    return reference_optima([network])[0]
 
-    Follows the central path by raising the utility scale geometrically
-    up to 1e8 (equivalent to shrinking the barrier weight to 1e-8) with
-    warm starts, solving each stage with the exact method. Returns (x, h).
+
+def reference_optima(networks) -> list:
+    """High-accuracy optima of several capacity-constrained problems, as a
+    list of (x, h) in input order.
+
+    Each network follows the central path by raising the utility scale
+    geometrically up to 1e8 with warm starts, solving each stage with the
+    exact method of reference_solve. Networks that share (L, S) and
+    the utility-family layout run as one stack of dense steps; any other
+    runs as a batch of one.
     """
-    scale_max = 1e8
-    x = feasible_init(network).values.copy()
-    scale = 1.0
+    stacks = {}
+    for i, net in enumerate(networks):
+        key = (net.num_links, net.num_sources, tuple(type(u) for u in net.utilities))
+        stacks.setdefault(key, []).append(i)
+    xs = [None] * len(networks)
+    for members in stacks.values():
+        stacked = _central_path([networks[i] for i in members])
+        for i, x in zip(members, stacked):
+            xs[i] = x.copy()
+    return [(x, eval_h(net, x)) for net, x in zip(networks, xs)]
+
+
+def _central_path(networks) -> np.ndarray:
+    """reference_optima's central path for networks sharing (L, S) and the
+    utility layout, as a (T, S + L) stack of final points.
+
+    Each stage multiplies the utility scale by 10, from 1 up to 1e8
+    (equivalent to shrinking the barrier weight to 1e-8), and takes exact
+    Newton steps from the previous stage's point. All trials of a stage
+    start together, so the stage's step counter is every active trial's
+    own. A trial keeps its own damped flag and leaves the stack when its
+    decrement reaches 1e-10 or after _REFERENCE_MAX_STEPS steps.
+    """
+    S = networks[0].num_sources
+    V = SolverConfig.V
+    b = _default_b(V)
+    A = np.stack([net.incidence for net in networks])
+    groups = stack_utility_groups(networks)
+    d1, d2 = group_method(groups, "d1"), group_method(groups, "d2")
+    x = np.stack([feasible_init(net).values for net in networks])
+    scale, scale_max = 1.0, 1e8
     while True:
-        res = reference_solve(BarrierProblem(network, 1.0, scale), x0=x, tol=1e-10)
-        x = res.x
+        damped = [True] * len(networks)
+        active = np.arange(len(networks))
+        for _ in range(_REFERENCE_MAX_STEPS):
+            g = barrier_grad(x, S, 1.0, scale, d1)[active]
+            H = barrier_hessian_diag(x, S, 1.0, scale, d2)[active]
+            delta = stacked_kkt_direction(A[active], H, g)
+            lam = np.sqrt(np.sum(delta * delta * H, axis=1))
+            d = np.empty(len(active))
+            for j, (t, lam_t) in enumerate(zip(active.tolist(), lam.tolist())):
+                d[j], damped[t] = stepsize_rule(lam_t, damped[t], V, b)
+            moving = ~(lam <= 1e-10)
+            active = active[moving]
+            x[active] = x[active] + d[moving, None] * delta[moving]
+            if not np.all(x[active] > 0):
+                raise AssertionError("reference iterate lost strict positivity")
+            if not active.size:
+                break
         if scale >= scale_max:
-            break
+            return x
         scale = min(scale * 10.0, scale_max)
-    return x, eval_h(network, x)
 
 
 @dataclass

@@ -201,10 +201,13 @@ class TestSharedBehavior:
         ("rel_change_tol", -1e-6),
         ("curvature_floor", 0.0),
         ("rate_cap", 0.0),
+        *((field, float("nan")) for field in (
+            "stepsize", "max_iters", "stable_window", "band", "rel_change_tol",
+            "curvature_floor", "rate_cap")),
     ])
     def test_unrunnable_settings_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
-            FirstOrderConfig(stepsize=0.01, **{field: value})
+            FirstOrderConfig(**{"stepsize": 0.01, field: value})
 
     def test_divergence_detected(self, two_flow_network):
         cfg = FirstOrderConfig(stepsize=1e13, max_iters=10000)

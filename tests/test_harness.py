@@ -280,11 +280,19 @@ class TestCli:
         {"trials": 1, "a": -0.5},
         {"trials": 1, "diagonal_stepsize": -1},
         {"trials": 1, "subgradient_stepsize": 0},
+        {"trials": 1, "a": float("nan")},
+        {"trials": 1, "diagonal_stepsize": float("nan")},
+        {"trials": 1, "subgradient_stepsize": float("nan")},
     ])
     def test_malformed_spec_rejected(self, tmp_path, capsys, doc):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
         assert main(["compare", str(spec)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--a", "--mu", "--epsilon", "--theta-term"])
+    def test_nan_parameter_rejected(self, capsys, example_file, flag):
+        assert main(["solve", str(example_file), "--two-pass", flag, "nan"]) == 2
         assert capsys.readouterr().err.count("\n") == 1
 
     @pytest.mark.parametrize("cap", ["0", "-3"])

@@ -12,10 +12,13 @@ from netnewton import (
     SolverConfig,
     build_dual_graph,
     build_network,
+    eval_h,
     eval_hessian_diag,
+    feasible_init,
     newton_solve,
     phase_diagnostics,
     random_network,
+    reference_optima,
     reference_optimum,
     reference_solve,
     spectral_radius,
@@ -54,6 +57,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(tau_noise=cap * 1.01)
         SolverConfig(tau_noise=cap * 0.99)
+
+    @pytest.mark.parametrize("field", ["mu", "p", "epsilon", "V", "b", "theta_term", "a",
+                                       "tau_noise", "max_primal_iters"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError):
+            SolverConfig(**{field: float("nan")})
 
     @pytest.mark.parametrize("cap", [0, -3])
     def test_max_primal_iters_floor(self, cap):
@@ -326,7 +335,41 @@ class TestTwoPass:
         np.testing.assert_allclose(tp_shift.x, tp_plain.x, rtol=1e-9)
 
 
+def central_path_oracle(net):
+    """Test oracle for reference_optima: the per-network central path it
+    replaced, reference_solve chained over the utility scales 1, 10, ...,
+    1e8 from the feasible start, each stage to decrement 1e-10."""
+    x = feasible_init(net).values.copy()
+    scale = 1.0
+    while True:
+        x = reference_solve(BarrierProblem(net, 1.0, scale), x0=x, tol=1e-10).x
+        if scale >= 1e8:
+            return x, eval_h(net, x)
+        scale = min(scale * 10.0, 1e8)
+
+
 class TestReference:
+    def test_stack_matches_central_path_oracle(self, mixed_network, two_flow_network):
+        nets = [study_network(t) for t in range(10)] + [mixed_network, two_flow_network]
+        for (x, h), net in zip(reference_optima(nets), nets):
+            x_or, h_or = central_path_oracle(net)
+            # relative to |h| floored at one utility unit, as the study's
+            # band is: two_flow_network's optimum sits at h = 0
+            assert h == pytest.approx(h_or, rel=1e-14, abs=1e-14)
+            # relative to the largest entry: a slack near zero is a difference
+            # of rates and capacities, so it carries their rounding error
+            assert np.abs(x - x_or).max() <= 1e-10 * np.abs(x_or).max()
+
+    def test_stacks_return_in_input_order(self, mixed_network, two_flow_network):
+        # the family networks share one stack, the fixtures run alone
+        nets = [study_network(0), study_network(1), mixed_network, two_flow_network,
+                study_network(2)]
+        for (x, h), net in zip(reference_optima(nets), nets, strict=True):
+            x_one, h_one = reference_optimum(net)
+            np.testing.assert_array_equal(x, x_one)
+            assert h == h_one
+        assert reference_optima([]) == []
+
     def test_reference_exact_quadratic_tail(self, two_flow_network):
         # with exact directions the decrement square-contracts once small
         res = reference_solve(BarrierProblem(two_flow_network, 1.0), tol=1e-12)
