@@ -12,6 +12,7 @@ order of magnitude as reproducible.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,10 @@ class FirstOrderConfig:
         # Each check is written so that it also rejects NaN.
         if not self.stepsize > 0:
             raise ValueError("stepsize must be positive")
+        for name in ("max_iters", "stable_window"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (self.max_iters >= 1 and self.stable_window >= 1):
             raise ValueError("max_iters and stable_window must be at least 1")
         if not (self.band > 0 and self.curvature_floor > 0):
@@ -115,18 +120,41 @@ def band_entry(history, h_ref: float, band: float) -> int | None:
     return entry if entry < len(h) else None
 
 
-def _best_response(R_T, prices, inverse_d1, cap: float, out) -> np.ndarray:
-    """Rates maximizing utility minus route price, clamped to [0, cap], into
-    out. R_T is the transposed routing matrix and inverse_d1 the bound
-    utility_method(network, "inverse_d1"). A source whose route price is
-    at most 1e-12 gets cap, as np.where(route_price > 1e-12, clamp, cap)
-    would give for every finite route price."""
-    route_price = np.dot(R_T, prices)
-    s = inverse_d1(np.maximum(route_price, 1e-12))
-    np.maximum(s, 0.0, out=out)
-    np.minimum(out, cap, out=out)
-    out[route_price <= 1e-12] = cap
-    return out
+def _cap_assignment_is_noop(inverse_d1, num_sources: int, cap: float) -> bool:
+    """True when every source's clamped response at the route price 1e-12
+    is already cap. A source whose route price is at most 1e-12 is priced
+    at exactly 1e-12, and inverse_d1 is elementwise, so assigning it cap
+    then changes no rate."""
+    with np.errstate(all="ignore"):
+        at_floor = inverse_d1(np.full(num_sources, 1e-12))
+    return bool((np.minimum(np.maximum(at_floor, 0.0), cap) == cap).all())
+
+
+def _best_response(network: Network, cap: float):
+    """The function (prices, out) -> rates maximizing utility minus route
+    price, clamped to [0, cap], written into out. A source whose route
+    price is at most 1e-12 gets cap, as np.where(route_price > 1e-12,
+    clamp, cap) would give for every finite route price. The operands and
+    buffers are bound once, so each call only runs its ufuncs."""
+    S = network.num_sources
+    R_T = network.routing.T
+    inverse_d1 = utility_method(network, "inverse_d1")
+    zero, tiny, cap_0d = np.array(0.0), np.array(1e-12), np.array(cap)
+    route_price, clamped = np.empty(S), np.empty(S)
+    vanishing = np.empty(S, dtype=bool)
+    assign_cap = not _cap_assignment_is_noop(inverse_d1, S, cap)
+
+    def best_response(prices, out):
+        np.dot(R_T, prices, route_price)
+        np.maximum(route_price, tiny, out=clamped)
+        np.maximum(inverse_d1(clamped), zero, out=out)
+        np.minimum(out, cap_0d, out=out)
+        if assign_cap:
+            np.less_equal(route_price, tiny, vanishing)
+            out[vanishing] = cap
+        return out
+
+    return best_response
 
 
 def _price_iteration(
@@ -137,21 +165,27 @@ def _price_iteration(
     a block; after each block it evaluates the objective, the minimum
     slack, the divergence test and the stopping rule over the block's rows,
     so it stops on the same iterate as a check after every update would.
-    Everything an iterate looks up (the bound utility methods, R', the
-    rows it writes) is bound once per solve."""
+    Everything an iterate uses (the best response, the bound utility
+    methods, R, its scalar operands as 0-d arrays, its temporaries, the
+    rows it writes) is bound once per solve; each product and ufunc call
+    writes into a preallocated buffer, and only the utility methods
+    allocate."""
     R = network.routing
-    R_T = R.T
     c = network.capacities
+    L, S = network.num_links, network.num_sources
     cap = config.rate_cap if config.rate_cap is not None else 2.0 * float(c.max())
-    stepsize, floor = config.stepsize, config.curvature_floor
-    inverse_d1 = utility_method(network, "inverse_d1")
+    best_response = _best_response(network, cap)
     d2 = utility_method(network, "d2") if scaled else None
+    zero, minus_one = np.array(0.0), np.array(-1.0)
+    stepsize, floor = np.array(config.stepsize), np.array(config.curvature_floor)
+    load, step, curv = np.empty(L), np.empty(L), np.empty(L)
+    inv_curv = np.empty(S)
     band = None if h_ref is None else config.band_scale(h_ref)
-    rates = np.empty((_BLOCK, network.num_sources))
-    overload = np.empty((_BLOCK, network.num_links))
-    prices = np.empty((_BLOCK, network.num_links))
+    rates = np.empty((_BLOCK, S))
+    overload = np.empty((_BLOCK, L))
+    prices = np.empty((_BLOCK, L))
     rows = list(zip(rates, overload, prices))
-    w = np.zeros(network.num_links)
+    w = np.zeros(L)
     h_blocks, slack_blocks = [], []
     stable = 0
     h_prev = np.nan  # compares false: the first iterate has no predecessor
@@ -164,14 +198,17 @@ def _price_iteration(
         # and the block is cut at the first diverged iterate below.
         with np.errstate(all="ignore"):
             for s, o, p in rows[:n]:
-                _best_response(R_T, w, inverse_d1, cap, s)
-                np.subtract(np.dot(R, s), c, out=o)
+                best_response(w, s)
+                np.dot(R, s, load)
+                np.subtract(load, c, o)
+                np.multiply(stepsize, o, step)
                 if scaled:
-                    curv = np.dot(R, -1.0 / d2(s))
-                    step = stepsize * o / np.maximum(curv, floor)
-                else:
-                    step = stepsize * o
-                w = np.maximum(0.0, w + step, out=p)
+                    np.divide(minus_one, d2(s), inv_curv)
+                    np.dot(R, inv_curv, curv)
+                    np.maximum(curv, floor, out=curv)
+                    np.divide(step, curv, step)
+                np.add(w, step, step)
+                w = np.maximum(zero, step, out=p)
         finite = prices[:n].max(axis=1) <= 1e12  # also catches nan
         m = n if finite.all() else int(np.argmin(finite))  # rows before divergence
         values = utility_terms(network, "value", np.maximum(rates[:m], 1e-300))
@@ -202,7 +239,7 @@ def _price_iteration(
     h_arr = np.concatenate(h_blocks)
     entry = None if h_ref is None else band_entry(h_arr, h_ref, config.band)
     return FirstOrderResult(
-        rates=_best_response(R_T, w, inverse_d1, cap, np.empty(network.num_sources)),
+        rates=best_response(w, np.empty(S)),
         prices=w,
         objective_history=h_arr,
         min_slack_history=np.concatenate(slack_blocks),

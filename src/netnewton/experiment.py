@@ -50,6 +50,11 @@ FAMILY_FIXTURES = {
 }
 
 
+def _is_number(value, kind) -> bool:
+    """True when value is an instance of the numbers ABC kind and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative description of a comparison run."""
@@ -69,14 +74,15 @@ class ExperimentSpec:
     outdir: str | None = None
 
     def __post_init__(self):
+        # bool is an Integral and a Real, but true is not a trial count or a p
         for name in ("trials", "links", "sources", "seed", "max_first_order_iters"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not _is_number(getattr(self, name), numbers.Integral):
                 raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
         reals = (self.bernoulli_p, self.a, *self.omega_range, *self.capacity_range)
-        if len(reals) != 6 or not all(isinstance(v, numbers.Real) for v in reals):
+        if len(reals) != 6 or not all(_is_number(v, numbers.Real) for v in reals):
             raise TypeError("bernoulli_p, a and both ends of each range must be numbers")
         steps = (self.subgradient_stepsize, self.diagonal_stepsize)
-        if not all(isinstance(v, (numbers.Real, type(None))) for v in steps):
+        if not all(v is None or _is_number(v, numbers.Real) for v in steps):
             raise TypeError(f"stepsizes must be numbers or null, got {steps!r}")
         if not isinstance(self.outdir, (str, type(None))):
             raise TypeError(f"outdir must be a string, got {self.outdir!r}")

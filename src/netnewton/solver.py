@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +107,10 @@ class SolverConfig:
             raise ValueError("theta_term must be non-negative")
         if not self.a > 0:
             raise ValueError("two-pass target a must be positive")
-        if not self.max_primal_iters >= 1:
+        iters = self.max_primal_iters
+        if isinstance(iters, bool) or not isinstance(iters, numbers.Integral):
+            raise ValueError(f"max_primal_iters must be an integer, got {iters!r}")
+        if not iters >= 1:
             raise ValueError("max_primal_iters must be at least 1")
         tau_cap = (1.0 / self.b - 1.0) * (1.0 + self.V)
         if not abs(self.tau_noise) <= tau_cap:

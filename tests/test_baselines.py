@@ -8,6 +8,7 @@ import netnewton
 from netnewton import (
     FirstOrderConfig,
     LogUtility,
+    QuadraticUtility,
     build_network,
     diagonal_scaled_solve,
     random_network,
@@ -18,10 +19,13 @@ from netnewton import (
 from netnewton.baselines import (
     _BLOCK,
     FirstOrderResult,
+    _cap_assignment_is_noop,
     _price_iteration,
 )
 from netnewton.experiment import FAMILY_FIXTURES
-from netnewton.model import utility_terms
+from netnewton.model import utility_method, utility_terms
+
+from conftest import TWO_FLOW_ROUTING
 
 
 def oracle_best_response(network, prices, cap):
@@ -201,6 +205,12 @@ class TestSharedBehavior:
         ("rel_change_tol", -1e-6),
         ("curvature_floor", 0.0),
         ("rate_cap", 0.0),
+        # a fractional cap would crash the loop's slicing; a fractional window
+        # would act as the next integer; a bool is not a count
+        ("max_iters", 10.5),
+        ("stable_window", 2.5),
+        ("max_iters", True),
+        ("stable_window", True),
         *((field, float("nan")) for field in (
             "stepsize", "max_iters", "stable_window", "band", "rel_change_tol",
             "curvature_floor", "rate_cap")),
@@ -324,6 +334,46 @@ class TestBlockedLoop:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(RuntimeError, match="diverged at step 1;"):
                 diagonal_scaled_solve(two_flow_network, cfg)
+
+
+class TestCapAssignment:
+    """The best response assigns cap to a source whose route price is at
+    most 1e-12 only when its clamped response at 1e-12 can fall short of
+    cap; both branches must reproduce the oracle bit for bit."""
+
+    @staticmethod
+    def cap_assignment_skipped(net, cfg):
+        cap = cfg.rate_cap if cfg.rate_cap is not None else 2.0 * float(net.capacities.max())
+        return _cap_assignment_is_noop(utility_method(net, "inverse_d1"), net.num_sources, cap)
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("instance, skipped", [
+        ("quadratic-break-below-cap", False),
+        ("log-cap-1e15", False),
+        ("seed7-trial0", True),
+    ])
+    def test_both_branches_match_oracle(self, two_flow_network, instance, skipped, scaled):
+        if instance == "quadratic-break-below-cap":
+            # the break point 3 lies between max c = 2 and the default cap 4,
+            # so at a vanishing route price the clamped response is 3
+            net = build_network(
+                TWO_FLOW_ROUTING, [1, 1, 2, 1, 1], [LogUtility(1.0), QuadraticUtility(3.0, 1.0)]
+            )
+            cfg = FirstOrderConfig(stepsize=0.01, max_iters=600)
+        elif instance == "log-cap-1e15":
+            # 1e12 times the log weight stays below the cap
+            net = two_flow_network
+            cfg = FirstOrderConfig(stepsize=1e-4, max_iters=600, rate_cap=1e15)
+        else:
+            net = random_network(15, 8, 0.5, np.random.SeedSequence(7).spawn(1)[0])
+            stepsize = (
+                FAMILY_FIXTURES["diagonal_stepsize"] if scaled
+                else subgradient_family_stepsize(net)
+            )
+            cfg = FirstOrderConfig(stepsize=stepsize, max_iters=600)
+        assert self.cap_assignment_skipped(net, cfg) is skipped
+        expected = oracle_price_iteration(net, cfg, None, scaled)
+        assert_same_run(_price_iteration(net, cfg, None, scaled), expected)
 
 
 def test_study_trial_counts_pinned():

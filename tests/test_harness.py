@@ -283,6 +283,14 @@ class TestCli:
         {"trials": 1, "a": float("nan")},
         {"trials": 1, "diagonal_stepsize": float("nan")},
         {"trials": 1, "subgradient_stepsize": float("nan")},
+        # bools pass as numbers.Integral and numbers.Real
+        {"trials": True},
+        {"trials": 1, "seed": False},
+        {"trials": 1, "max_first_order_iters": True},
+        {"trials": 1, "bernoulli_p": True},
+        {"trials": 1, "a": True},
+        {"trials": 1, "omega_range": [5.0, True]},
+        {"trials": 1, "diagonal_stepsize": True},
     ])
     def test_malformed_spec_rejected(self, tmp_path, capsys, doc):
         spec = tmp_path / "spec.json"

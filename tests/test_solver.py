@@ -64,7 +64,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(**{field: float("nan")})
 
-    @pytest.mark.parametrize("cap", [0, -3])
+    # a fractional cap cannot bound the primal loop; a bool or a string is not a count
+    @pytest.mark.parametrize("cap", [0, -3, 2.5, True, "3"])
     def test_max_primal_iters_floor(self, cap):
         with pytest.raises(ValueError, match="max_primal_iters"):
             SolverConfig(max_primal_iters=cap)

@@ -1,6 +1,9 @@
 import importlib
 import importlib.util
+import warnings
 from pathlib import Path
+
+import pytest
 
 from netnewton import ExperimentSpec, run_comparison
 
@@ -63,3 +66,14 @@ def test_study_makes_one_recorded_call_per_row_in_row_order():
         assert kwargs.get("h_ref", row.h_ref) == row.h_ref
         assert nets.setdefault(row.trial, args[0]) is args[0]
     assert nets[0] is not nets[1]
+
+
+@pytest.mark.parametrize("module, fails", [("netnewton.baselines", True), ("elsewhere", False)])
+def test_deprecation_fails_only_in_netnewton_code(module, fails):
+    # pyproject's filterwarnings turns a DeprecationWarning raised from
+    # netnewton code, such as numpy 2.4's for a positional out on
+    # np.maximum, into an error; elsewhere it stays a warning
+    code = compile("warnings.warn('old call style', DeprecationWarning)", module, "exec")
+    scope = {"__name__": module, "warnings": warnings}
+    with pytest.raises(DeprecationWarning) if fails else pytest.warns(DeprecationWarning):
+        exec(code, scope)
