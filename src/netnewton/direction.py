@@ -60,9 +60,9 @@ def kkt_direction(network: Network, hessian_diag, grad):
 def stacked_kkt_direction(A, H, g) -> np.ndarray:
     """kkt_direction's delta for a stack of networks: (T, L, N) incidence
     matrices, (T, N) Hessian diagonals and gradients. The dual systems are
-    solved together by LU rather than one Cholesky each, so the result
-    matches kkt_direction's to rounding. kkt_direction's residual checks
-    hold per network."""
+    solved together by one batched LU, the factorization kkt_direction
+    uses for each network alone, so the result matches kkt_direction's to
+    rounding. kkt_direction's residual checks hold per network."""
     A_T = A.transpose(0, 2, 1)
     AD = A * (1.0 / H)[:, None, :]
     G = AD @ A_T

@@ -71,7 +71,7 @@ class LogUtility:
         return self.weight / s
 
     def d2(self, s):
-        return -self.weight / s**2
+        return self._minus_weight / s**2
 
     def d3(self, s):
         return 2.0 * self.weight / s**3
@@ -79,6 +79,13 @@ class LogUtility:
     def inverse_d1(self, price):
         """Rate at which marginal utility equals the given price."""
         return self.weight / price
+
+    @cached_property
+    def _minus_weight(self):
+        """-weight, negated once rather than on every d2 call (the
+        diagonal baseline calls d2 once per price update); negation is
+        exact, so d2's bits do not change."""
+        return -self.weight
 
     def to_dict(self):
         return {"family": "log", "weight": self.weight}
@@ -120,12 +127,17 @@ class QuadraticUtility:
 UTILITY_FAMILIES = {"log": LogUtility, "quadratic": QuadraticUtility}
 
 
+def _is_json_number(value) -> bool:
+    """True for a JSON number: an int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def utility_from_dict(spec: dict):
     kind = spec.get("family")
     if kind not in UTILITY_FAMILIES:
         raise InvalidNetworkError(f"unknown utility family {kind!r}")
     params = {k: v for k, v in spec.items() if k != "family"}
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in params.values()):
+    if not all(_is_json_number(v) for v in params.values()):
         raise InvalidNetworkError(f"utility parameters must be numbers, got {params}")
     return UTILITY_FAMILIES[kind](**params)
 
@@ -506,7 +518,9 @@ def load_network(path) -> Network:
     except json.JSONDecodeError as exc:
         raise InvalidNetworkError(f"malformed network file {path}: {exc}") from exc
     try:
-        capacities = [float(c) for c in doc["links"]]
+        capacities = list(doc["links"])
+        if not all(_is_json_number(c) for c in capacities):
+            raise InvalidNetworkError(f"link capacities must be numbers, got {capacities}")
         sources = doc["sources"]
         routes = [list(entry["route"]) for entry in sources]
         utilities = [utility_from_dict(entry["utility"]) for entry in sources]

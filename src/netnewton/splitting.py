@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .model import Network
 
@@ -80,20 +79,25 @@ class SplittingData:
         return self.rhs / self.denom
 
 
-def build_splitting(network: Network, hessian_diag, grad) -> SplittingData:
+def _dual_system(network: Network, hessian_diag, grad):
+    """A H^-1 A' and -A H^-1 grad, the matrix and right-hand side of the
+    dual system, after checking that H can be inverted."""
     H = np.asarray(hessian_diag, dtype=float)
     g = np.asarray(grad, dtype=float)
-    L, S = network.num_links, network.num_sources
-    if H.shape != (S + L,) or g.shape != (S + L,):
+    n = network.num_sources + network.num_links
+    if H.shape != (n,) or g.shape != (n,):
         raise ValueError("hessian_diag and grad must have length S + L")
     if not np.all((H > 0) & (H < np.inf)):
         raise ValueError("hessian diagonal must be finite and strictly positive")
-    A = network.incidence
-    G = (A * (1.0 / H)) @ A.T
+    AD = network.incidence * (1.0 / H)
+    return AD @ network.incidence.T, -AD @ g
+
+
+def build_splitting(network: Network, hessian_diag, grad) -> SplittingData:
+    G, rhs = _dual_system(network, hessian_diag, grad)
     dk = np.diag(G).copy()
     bk = G - np.diag(dk)
     bbar = bk.sum(axis=1)
-    rhs = -(A * (1.0 / H)) @ g
 
     # D + 2 Bbar - B must be strictly diagonally dominant with a positive
     # diagonal; this is what guarantees the iteration matrix is a contraction.
@@ -110,14 +114,9 @@ def dual_step_matrix(split: SplittingData, w) -> np.ndarray:
 
 
 def solve_dual_exact(network: Network, hessian_diag, grad) -> np.ndarray:
-    """Dense solve of the dual system via Cholesky; the fixed-point oracle."""
-    H = np.asarray(hessian_diag, dtype=float)
-    g = np.asarray(grad, dtype=float)
-    A = network.incidence
-    G = (A * (1.0 / H)) @ A.T
-    rhs = -(A * (1.0 / H)) @ g
-    c, low = scipy.linalg.cho_factor(G)
-    w = scipy.linalg.cho_solve((c, low), rhs)
+    """Dense solve of the dual system by LU; the fixed-point oracle."""
+    G, rhs = _dual_system(network, hessian_diag, grad)
+    w = np.linalg.solve(G, rhs)
     resid = np.abs(G @ w - rhs).max()
     scale = max(np.abs(rhs).max(), 1.0)
     assert resid <= 1e-10 * scale, f"dual solve residual {resid:.3e} too large"
@@ -232,7 +231,9 @@ def spectral_radius(split: SplittingData) -> float:
     scale = np.sqrt(split.denom)
     sym = split.iteration_matrix * scale[:, None] / scale[None, :]
     sym = 0.5 * (sym + sym.T)
-    eigs = scipy.linalg.eigvalsh(sym)
+    if not np.isfinite(sym).all():
+        raise ValueError("iteration matrix has non-finite entries")
+    eigs = np.linalg.eigvalsh(sym)
     lam1 = float(np.abs(eigs).max())
     assert lam1 < 1.0 + 1e-12, f"price iteration is not a contraction: {lam1}"
     return lam1

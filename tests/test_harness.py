@@ -269,6 +269,15 @@ class TestCli:
         assert main(["solve", str(bad)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
 
+    @pytest.mark.parametrize("links", ['[true, 2.5]', '[1.0, "2.5"]', '"12"'])
+    def test_non_numeric_capacities_rejected(self, tmp_path, capsys, links):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"links": {links}, "sources": [{{"route": [0, 1], '
+                       '"utility": {"family": "log", "weight": 1.0}}]}')
+        assert main(["solve", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "capacities must be numbers" in err
+
     @pytest.mark.parametrize("doc", [
         {"trials": 1, "colour": "red"},
         [1, 2],

@@ -180,6 +180,16 @@ class TestEvaluation:
         for row, out in zip(rows, stacked):
             assert np.array_equal(out, utility_terms(mixed_network, method, row))
 
+    def test_log_d2_bits_match_negated_weight_quotient(self):
+        # d2 negates the weight once per instance; negation is exact, so
+        # every call returns the bits of -weight / s**2
+        rng = np.random.default_rng(8)
+        weights = rng.uniform(5.0, 15.0, 8)
+        s = rng.uniform(0.01, 50.0, (4, 8))
+        for u in (LogUtility(weights), LogUtility(float(weights[0]))):
+            for _ in range(2):
+                assert np.array_equal(u.d2(s), -u.weight / s**2)
+
     def test_eval_h_equals_unbarriered_objective(self):
         rng = np.random.default_rng(3)
         net = draw_network(rng)
@@ -244,6 +254,16 @@ class TestNetworkFiles:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"links": [1.0]}))
         with pytest.raises(InvalidNetworkError):
+            load_network(path)
+
+    # "12" iterates as the strings "1" and "2"
+    @pytest.mark.parametrize("links", [[True, 2.5], [1.0, "2.5"], [1.0, None], "12"])
+    def test_non_numeric_capacities_rejected(self, tmp_path, links):
+        path = tmp_path / "bad.json"
+        doc = {"links": links,
+               "sources": [{"route": [0, 1], "utility": {"family": "log", "weight": 1.0}}]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidNetworkError, match="capacities must be numbers"):
             load_network(path)
 
     def test_unknown_link_rejected(self, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -133,8 +135,6 @@ class TestDualIteration:
         # perturbing the route aggregate of a source that does not cross a
         # link must leave that link's update untouched
         rng = np.random.default_rng(8)
-        from dataclasses import replace
-
         for _ in range(10):
             net = draw_network(rng)
             _, H, g = random_positive_state(net, rng)
@@ -164,6 +164,15 @@ class TestDualIteration:
         G = (A * (1 / H)) @ A.T
         rhs = -(A * (1 / H)) @ g
         assert np.abs(G @ w - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_exact_solve_rejects_unusable_hessian(self, two_flow_network, bad):
+        # the LU solve would return prices for an indefinite or non-finite
+        # system, so the oracle checks H as build_splitting does
+        H = np.ones(7)
+        H[2] = bad
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            solve_dual_exact(two_flow_network, H, np.zeros(7))
 
     def test_uninitialized_aggregate_rejected(self, tiny_network):
         state = DualState(
@@ -199,6 +208,15 @@ class TestSpectral:
         scale = np.sqrt(graph.denom)
         sym = graph.iteration_matrix * scale[:, None] / scale[None, :]
         assert np.abs(sym - sym.T).max() <= 1e-12 * max(1.0, np.abs(sym).max())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, two_flow_network, bad):
+        # checked before the eigensolve, which would return nan eigenvalues
+        split = build_dual_graph(two_flow_network, np.ones(7))
+        bk = split.bk.copy()
+        bk[0, 2] = bk[2, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_radius(replace(split, bk=bk))
 
     def test_congested_example_matches_reported_values(self, congested_example):
         _, H, _ = example_state(congested_example)

@@ -1,10 +1,14 @@
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import netnewton
 from netnewton import ExperimentSpec, run_comparison
 
 BENCH_TRACE = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_trace.py"
@@ -32,6 +36,18 @@ def test_bench_trace_targets_resolve():
     for module, name, _, _ in bench_trace.TARGETS:
         fn = getattr(importlib.import_module(f"netnewton.{module}"), name, None)
         assert callable(fn), f"netnewton.{module}.{name}"
+
+
+def test_import_leaves_scipy_unloaded():
+    # netnewton runs on numpy alone: scipy is a test dependency only, and a
+    # fresh interpreter that imports the library and its CLI loads none of it
+    src = str(Path(netnewton.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, netnewton, netnewton.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_study_makes_one_recorded_call_per_row_in_row_order():
