@@ -7,11 +7,14 @@ companion graph on the sources, built by a signalling sweep over the real
 network, that records for each link an ownership set theta_l of sources.
 Once built, synchronous rounds of two local update rules spread the
 global sum; after the companion graph's diameter plus one rounds every
-source and every link holds it.
+source and every link holds it. The rounds write into preallocated
+histories, and the operands that depend on the graph alone are cached on
+it.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,6 +62,18 @@ class AuxiliaryGraph:
         return _frozen(self.owner_incidence * in_l_star)
 
     @cached_property
+    def link_overcount(self) -> np.ndarray:
+        """Per link, the size of its ownership set minus one: how many
+        times a round's link sum over-counts the link's previous value."""
+        return _frozen(self.owner_incidence.sum(axis=1) - 1)
+
+    @cached_property
+    def source_overcount(self) -> np.ndarray:
+        """Per source, the number of l_star links it owns minus one: how
+        many times a round's source sum over-counts its previous value."""
+        return _frozen(self.l_star_incidence.sum(axis=0) - 1)
+
+    @cached_property
     def neighbors(self) -> tuple:
         nbrs = [set() for _ in range(self.num_sources)]
         for i, j, _ in self.edges:
@@ -69,7 +84,11 @@ class AuxiliaryGraph:
     @cached_property
     def diameter(self) -> int:
         """Longest shortest path between two sources (0 for a single node)."""
-        return _graph_diameter(self.neighbors)
+        adjacency = np.zeros((self.num_sources, self.num_sources), dtype=bool)
+        if self.edges:
+            i, j, _ = zip(*self.edges)
+            adjacency[i, j] = adjacency[j, i] = True
+        return _graph_diameter(adjacency)
 
     def neighborhood(self, i: int, hops: int) -> frozenset:
         """Sources within the given number of edges of source i."""
@@ -222,17 +241,27 @@ def distributed_sum(
     zs = np.asarray(z_star, dtype=float)
     if ys.shape != (S,) or zs.shape != (L,):
         raise ValueError("inputs must be one value per source and per link")
-    z_over = aux.owner_incidence.sum(axis=1) - 1
-    y_over = aux.l_star_incidence.sum(axis=0) - 1
-    y = ys + network.routing.T @ zs
-    z = np.zeros(L)
-    y_hist, z_hist = [y], [z]
-    for _ in range(rounds if rounds is not None else S):
-        z = aux.owner_incidence @ y - z_over * z
-        y = aux.l_star_incidence.T @ z - y_over * y
-        y_hist.append(y)
-        z_hist.append(z)
-    return SummationRun(np.array(y_hist), np.array(z_hist), rounds=len(y_hist) - 1)
+    n = S if rounds is None else rounds
+    if n < 0:
+        raise ValueError("rounds must be non-negative")
+    # Round t writes row t of each history in place; over_y and over_z
+    # take the over-counted part of row t - 1 before it is subtracted.
+    # ndarray.dot runs the BLAS product of `@` and takes out more cheaply.
+    y_hist = np.empty((n + 1, S))
+    z_hist = np.empty((n + 1, L))
+    over_y, over_z = np.empty(S), np.empty(L)
+    np.add(ys, network.routing.T @ zs, y_hist[0])
+    z_hist[0] = 0.0
+    to_links, to_sources = aux.owner_incidence.dot, aux.l_star_incidence.T.dot
+    z_over, y_over = aux.link_overcount, aux.source_overcount
+    multiply, subtract = np.multiply, np.subtract
+    for t in range(1, n + 1):
+        y, z = y_hist[t], z_hist[t]
+        to_links(y_hist[t - 1], z)
+        subtract(z, multiply(z_over, z_hist[t - 1], over_z), z)
+        to_sources(z, y)
+        subtract(y, multiply(y_over, y_hist[t - 1], over_y), y)
+    return SummationRun(y_hist, z_hist, rounds=n)
 
 
 def compute_theta(network: Network, aux: AuxiliaryGraph, delta, hessian_diag):
@@ -250,13 +279,14 @@ def compute_theta(network: Network, aux: AuxiliaryGraph, delta, hessian_diag):
     d = np.asarray(delta, dtype=float)
     S = network.num_sources
     y_star = d[:S] ** 2 * H[:S]
-    counts = network.routing.sum(axis=1)
-    z_star = d[S:] ** 2 * H[S:] / counts
+    z_star = d[S:] ** 2 * H[S:] / network.crossing_counts
     run = distributed_sum(network, aux, y_star, z_star, rounds=aux.diameter + 1)
     total = run.y_final[0]
     spread = np.abs(
         np.concatenate([run.y_final, run.z_final]) - total
     ).max()
-    assert spread <= 1e-9 * max(abs(total), 1.0), "aggregation values disagree"
-    assert total >= -1e-12, "squared decrement came out negative"
-    return float(np.sqrt(max(total, 0.0))), run.rounds
+    if not spread <= 1e-9 * max(abs(total), 1.0):
+        raise AssertionError("aggregation values disagree")
+    if not total >= -1e-12:
+        raise AssertionError("squared decrement came out negative")
+    return math.sqrt(max(total, 0.0)), run.rounds

@@ -53,7 +53,8 @@ def kkt_direction(network: Network, hessian_diag, grad):
     top = np.abs(H * delta + A.T @ w + g).max()
     bottom = np.abs(A @ delta).max()
     scale = max(np.abs(g).max(), 1.0)
-    assert top <= 1e-8 * scale and bottom <= 1e-8 * scale, "saddle residual too large"
+    if not (top <= 1e-8 * scale and bottom <= 1e-8 * scale):
+        raise AssertionError("saddle residual too large")
     return delta, w
 
 

@@ -8,6 +8,11 @@ max-consensus pass provides. Stage 1 runs a fixed budget of sweeps and
 accepts when the certified relative error is within p. Otherwise stage 2
 derives a sup-norm threshold on consecutive price changes that caps the
 remaining absolute error by epsilon, and iterates until it is met.
+
+A solve writes its sweeps through three vectors it allocates once, and
+tests every stage-2 sweep before it runs the next: sweeping ahead in
+blocks would be cheaper per sweep, but would execute sweeps that the
+certificate, the message charge and the traced sweep count never see.
 """
 
 from __future__ import annotations
@@ -103,26 +108,24 @@ def stage1_beta(network, w_t, w_t1, big_pi0, big_pi_t, F, p) -> float:
 
     A vanished denominator means the route price carries no information,
     so the ratio is treated as infinite (forcing more sweeps). Returns
-    beta = (max rho / p)^-2, infinite when the prices did not move.
+    beta = (max rho / p)^-2, infinite when the prices did not move. The
+    prices and aggregates are float arrays.
     """
-    L = network.num_links
-    diff = float(np.abs(np.asarray(w_t1) - np.asarray(w_t)).max())
+    diff = float(np.abs(w_t1 - w_t).max())
     if diff == 0.0:
-        return float("inf")
-    amp = np.sqrt(L) * diff / (1.0 - F)
-
-    pi0 = np.asarray(big_pi0, dtype=float)
-    pit = np.asarray(big_pi_t, dtype=float)
-    num_link = network.routing @ pi0
-    den_link = np.abs(network.routing @ pit)
+        return math.inf
+    amp = math.sqrt(network.num_links) * diff / (1.0 - F)
+    num_link = network.routing @ big_pi0
+    den_src = np.abs(big_pi_t)
+    den_link = np.abs(network.routing @ big_pi_t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho_src = np.where(np.abs(pit) < _TINY_PRICE, np.inf, amp * pi0 / np.abs(pit))
+        rho_src = np.where(den_src < _TINY_PRICE, np.inf, amp * big_pi0 / den_src)
         rho_link = np.where(den_link < _TINY_PRICE, np.inf, amp * num_link / den_link)
 
     worst = max(float(rho_src.max()), float(rho_link.max()))
     if worst == 0.0:
-        return float("inf")
-    return float((worst / p) ** -2)
+        return math.inf
+    return (worst / p) ** -2
 
 
 def stage2_h(network, hessian_diag, big_pi0, pi0, beta, epsilon, F) -> float:
@@ -131,17 +134,16 @@ def stage2_h(network, hessian_diag, big_pi0, pi0, beta, epsilon, F) -> float:
     Valid for beta in [0, 1); meeting ||w(t+1) - w(t)||_inf <= h certifies
     gamma' H gamma <= epsilon / (1 - beta). Shrinks like sqrt(epsilon).
     stage1_beta returns 0 when a route price vanishes; the cap is then
-    epsilon alone.
+    epsilon alone. The curvature and aggregates are float arrays.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("stage 2 applies only when beta is in [0, 1)")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    H = np.asarray(hessian_diag, dtype=float)
     S, L = network.num_sources, network.num_links
-    c = np.sqrt(epsilon / ((1.0 - beta) * (L + S) * L)) * (1.0 - F)
-    h_src = c / (np.asarray(pi0, dtype=float) * H[:S] ** -0.5)
-    h_link = c / (np.sqrt(H[S:]) * (network.routing @ np.asarray(big_pi0, dtype=float)))
+    c = math.sqrt(epsilon / ((1.0 - beta) * (L + S) * L)) * (1.0 - F)
+    h_src = c / (pi0 * hessian_diag[:S] ** -0.5)
+    h_link = c / (np.sqrt(hessian_diag[S:]) * (network.routing @ big_pi0))
     return float(min(h_src.min(), h_link.min()))
 
 
@@ -221,26 +223,30 @@ def run_dual_with_error_control(
             cfg.F, cfg.p,
         )
 
+    # Three buffers serve the whole solve: each sweep writes into the one
+    # holding the iterate before w_prev, and `change` takes the stage-2 test.
     w_prev = np.array(warm_start_w, dtype=float)
-    w_cur = dual_step_matrix(split, w_prev)
+    w_cur = np.empty_like(w_prev)
+    change = np.empty_like(w_prev)
+    subtract, absolute, peak = np.subtract, np.absolute, np.maximum.reduce
+    dual_step_matrix(split, w_prev, w_cur)
     for _ in range(cfg.T - 1):
-        w_prev, w_cur = w_cur, dual_step_matrix(split, w_cur)
+        w_prev, w_cur = w_cur, dual_step_matrix(split, w_cur, w_prev)
     steps = cfg.T
     beta = retest(w_prev, w_cur)
     passes = 2  # the price change and beta
     h = None
     while not beta >= 1.0:  # a NaN beta goes on to stage2_h, which rejects it
         h = stage2_h(network, H, big_pi0, pi0, beta, cfg.epsilon, cfg.F)
-        while True:
-            w_prev, w_cur = w_cur, dual_step_matrix(split, w_cur)
-            steps += 1
-            if steps > cfg.iter_cap:
-                raise RuntimeError(
-                    "price iteration exceeded the cap; F may underestimate the "
-                    "contraction factor"
-                )
-            if np.abs(w_cur - w_prev).max() <= h:
+        for steps in range(steps + 1, cfg.iter_cap + 1):
+            w_prev, w_cur = w_cur, dual_step_matrix(split, w_cur, w_prev)
+            if peak(absolute(subtract(w_cur, w_prev, change), change)) <= h:
                 break
+        else:
+            raise RuntimeError(
+                "price iteration exceeded the cap; F may underestimate the "
+                "contraction factor"
+            )
         beta_final = retest(w_prev, w_cur)
         passes += 2  # agreeing on h, and the retest
         if beta <= beta_final < 1.0:

@@ -205,6 +205,11 @@ class Network:
         )
 
     @cached_property
+    def crossing_counts(self) -> np.ndarray:
+        """For each link, the number of sources crossing it."""
+        return _frozen(self.routing.sum(axis=1))
+
+    @cached_property
     def comm_neighbors(self) -> tuple:
         """Bipartite exchange graph: nodes 0..S-1 are sources, S..S+L-1 links.
 
@@ -221,7 +226,12 @@ class Network:
 
     @cached_property
     def comm_diameter(self) -> int:
-        return _graph_diameter(self.comm_neighbors)
+        """Diameter of the exchange graph of comm_neighbors."""
+        S, L = self.num_sources, self.num_links
+        adjacency = np.zeros((S + L, S + L), dtype=bool)
+        adjacency[:S, S:] = self.routing.T
+        adjacency[S:, :S] = self.routing
+        return _graph_diameter(adjacency)
 
     @cached_property
     def utility_groups(self) -> tuple:
@@ -242,23 +252,26 @@ class Network:
         return f"Network(L={self.num_links}, S={self.num_sources})"
 
 
-def _graph_diameter(neighbors) -> int:
-    n = len(neighbors)
-    diam = 0
-    for start in range(n):
-        dist = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in neighbors[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        if len(dist) < n:
+def _graph_diameter(adjacency) -> int:
+    """Longest shortest path of the undirected graph with this boolean
+    adjacency matrix (0 for a single node).
+
+    Every node's reached set grows by one hop per round, all nodes at once
+    through one product with A + I; the diameter is the number of rounds
+    until every set holds every node. The products count paths, which
+    stay exact in floats. A round that reaches nothing new before then
+    means the graph is disconnected.
+    """
+    n = len(adjacency)
+    hop = np.asarray(adjacency, dtype=float) + np.eye(n)
+    reached = np.eye(n)  # 0/1 floats, so the product runs on BLAS
+    count, diam = n, 0
+    while count < n * n:
+        np.greater(reached @ hop, 0.0, reached)
+        grown = np.count_nonzero(reached)
+        if grown == count:
             raise InvalidNetworkError("communication graph is disconnected")
-        diam = max(diam, max(dist.values()))
+        count, diam = grown, diam + 1
     return diam
 
 
@@ -380,7 +393,8 @@ def feasible_init(network: Network) -> PrimalVector:
     rates = np.full(S, rate)
     slacks = network.capacities - network.routing @ rates
     x = np.concatenate([rates, slacks])
-    assert np.all(x > 0)
+    if not np.all(x > 0):
+        raise AssertionError("starting point is not strictly positive")
     return PrimalVector.checked(network, x)
 
 

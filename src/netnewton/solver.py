@@ -281,7 +281,8 @@ def reference_solve(problem: BarrierProblem, x0=None, tol: float = 1e-12) -> Sol
             converged = True
             break
         x = x + d * delta
-        assert np.all(x > 0)
+        if not np.all(x > 0):
+            raise AssertionError("reference iterate lost strict positivity")
     return SolveResult(
         x=x,
         trace=trace,

@@ -108,9 +108,20 @@ def build_splitting(network: Network, hessian_diag, grad) -> SplittingData:
     return SplittingData(dk=dk, bk=bk, bbar=bbar, rhs=rhs)
 
 
-def dual_step_matrix(split: SplittingData, w) -> np.ndarray:
-    """One fixed-point sweep of the price iteration in matrix form."""
-    return split.iteration_matrix @ w + split.offset
+def dual_step_matrix(split: SplittingData, w, out=None) -> np.ndarray:
+    """One fixed-point sweep of the price iteration in matrix form.
+
+    With out (a contiguous float vector other than w) the sweep is written
+    into it and out is returned. Both forms run one BLAS matrix-vector
+    product on the same operands, and tests/test_errorcontrol.py pins that
+    they agree bit for bit; ndarray.dot takes out with less call overhead
+    than np.matmul.
+    """
+    if out is None:
+        return split.iteration_matrix @ w + split.offset
+    split.iteration_matrix.dot(w, out)
+    out += split.offset
+    return out
 
 
 def solve_dual_exact(network: Network, hessian_diag, grad) -> np.ndarray:
@@ -119,7 +130,8 @@ def solve_dual_exact(network: Network, hessian_diag, grad) -> np.ndarray:
     w = np.linalg.solve(G, rhs)
     resid = np.abs(G @ w - rhs).max()
     scale = max(np.abs(rhs).max(), 1.0)
-    assert resid <= 1e-10 * scale, f"dual solve residual {resid:.3e} too large"
+    if not resid <= 1e-10 * scale:
+        raise AssertionError(f"dual solve residual {resid:.3e} too large")
     return w
 
 
@@ -235,7 +247,8 @@ def spectral_radius(split: SplittingData) -> float:
         raise ValueError("iteration matrix has non-finite entries")
     eigs = np.linalg.eigvalsh(sym)
     lam1 = float(np.abs(eigs).max())
-    assert lam1 < 1.0 + 1e-12, f"price iteration is not a contraction: {lam1}"
+    if not lam1 < 1.0 + 1e-12:
+        raise AssertionError(f"price iteration is not a contraction: {lam1}")
     return lam1
 
 

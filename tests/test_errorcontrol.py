@@ -4,6 +4,7 @@ import pytest
 import netnewton
 from netnewton import (
     DualControlConfig,
+    ErrorCertificate,
     build_dual_graph,
     build_splitting,
     dual_step_matrix,
@@ -34,6 +35,72 @@ def assumption_error(net, H, g, w):
     inexact = primal_direction(net, H, g, w).delta
     gamma = exact - inexact
     return float(np.sum(gamma * gamma * H)), inexact
+
+
+def reference_run_dual(network, hessian_diag, split, cfg, warm_start_w=None):
+    """Oracle for run_dual_with_error_control: the per-sweep loop as it was
+    before the sweeps wrote through buffers. Each sweep allocates its
+    result, the stage-2 test allocates |w_cur - w_prev|, and the cap is
+    checked after each stage-2 sweep."""
+    H = np.asarray(hessian_diag, dtype=float)
+    S = network.num_sources
+    ones = np.ones(network.num_links)
+    if warm_start_w is None:
+        warm_start_w = ones
+    pi0 = network.routing.T @ ones
+    big_pi0 = (network.routing.T @ ones) / H[:S]
+
+    def retest(w_prev, w_cur):
+        big_pi_t = (network.routing.T @ w_prev) / H[:S]
+        return stage1_beta(network, w_prev, w_cur, big_pi0, big_pi_t, cfg.F, cfg.p)
+
+    w_prev = np.array(warm_start_w, dtype=float)
+    w_cur = dual_step_matrix(split, w_prev)
+    for _ in range(cfg.T - 1):
+        w_prev, w_cur = w_cur, dual_step_matrix(split, w_cur)
+    steps = cfg.T
+    beta = retest(w_prev, w_cur)
+    passes = 2
+    h = None
+    while not beta >= 1.0:
+        h = stage2_h(network, H, big_pi0, pi0, beta, cfg.epsilon, cfg.F)
+        while True:
+            w_prev, w_cur = w_cur, dual_step_matrix(split, w_cur)
+            steps += 1
+            if steps > cfg.iter_cap:
+                raise RuntimeError("price iteration exceeded the cap")
+            if np.abs(w_cur - w_prev).max() <= h:
+                break
+        beta_final = retest(w_prev, w_cur)
+        passes += 2
+        if beta <= beta_final < 1.0:
+            break
+        beta = beta_final
+    return w_prev, ErrorCertificate(
+        stage=1 if beta >= 1.0 else 2, beta=beta, h_threshold=h, dual_iters=steps,
+        F=cfg.F, T=cfg.T, consensus_passes=passes + steps - cfg.T,
+    )
+
+
+def assert_matches_reference(net, H, split, cfg, warm_start_w=None):
+    """run_dual_with_error_control returns the oracle's prices and
+    certificate bit for bit; returns them."""
+    w, cert = run_dual_with_error_control(net, H, split, cfg, warm_start_w)
+    w_ref, cert_ref = reference_run_dual(net, H, split, cfg, warm_start_w)
+    assert np.array_equal(w, w_ref), (w, w_ref)
+    assert cert == cert_ref, (cert, cert_ref)
+    return w, cert
+
+
+def tightened_threshold_draws(net, count):
+    """(H, g) draws on the two-flow network whose target prices give source
+    0 a zero route price, so retests tighten h again and again."""
+    rng = np.random.default_rng(3)
+    for _ in range(count):
+        H = rng.uniform(0.5, 2.0, 7)
+        w_star = rng.uniform(0.5, 2.0, 5)
+        w_star[3] = -(w_star[0] + w_star[2])
+        yield H, gradient_solved_at(net, H, w_star)
 
 
 def gradient_solved_at(net, H, w_star):
@@ -258,12 +325,7 @@ class TestRunWithErrorControl:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(netnewton.errorcontrol, "stage2_h", counted)
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            H = rng.uniform(0.5, 2.0, 7)
-            w_star = rng.uniform(0.5, 2.0, 5)
-            w_star[3] = -(w_star[0] + w_star[2])
-            g = gradient_solved_at(net, H, w_star)
+        for H, g in tightened_threshold_draws(net, 20):
             split = build_splitting(net, H, g)
             cfg = DualControlConfig.from_lambda1(
                 spectral_radius(split), p=1e-3, epsilon=1e-4, T=1
@@ -314,6 +376,75 @@ class TestRunWithErrorControl:
         assert metrics.dual_feedbacks == 2 * metrics.dual_rounds  # S = 2
         assert metrics.consensus_execs >= 2
         assert metrics.consensus_rounds == metrics.consensus_execs * two_flow_network.comm_diameter
+
+    def test_buffered_sweeps_match_the_allocating_loop(self):
+        rng = np.random.default_rng(100)
+        for k in range(36):
+            net = draw_network(rng)
+            _, H, g = init_state(net)
+            cfg = DualControlConfig(
+                T=1 + k % 12, p=1e-3, epsilon=1e-4, F=control_setup(net, H)
+            )
+            split = build_splitting(net, H, g)
+            warm = None if k % 3 == 0 else rng.uniform(-1.0, 2.0, net.num_links)
+            kept = None if warm is None else warm.copy()
+            w, _ = assert_matches_reference(net, H, split, cfg, warm)
+            if warm is not None:
+                assert np.array_equal(warm, kept)  # the warm start is copied
+                assert not np.shares_memory(w, warm)
+
+    def test_buffered_sweep_matches_the_allocating_sweep(self):
+        rng = np.random.default_rng(102)
+        for _ in range(20):
+            net = draw_network(rng)
+            _, H, g = init_state(net)
+            split = build_splitting(net, H, g)
+            w = rng.normal(size=net.num_links)
+            out = np.empty_like(w)
+            assert dual_step_matrix(split, w, out) is out
+            assert np.array_equal(out, dual_step_matrix(split, w))
+
+    def test_tightened_thresholds_match_the_allocating_loop(self, two_flow_network):
+        net = two_flow_network
+        for H, g in tightened_threshold_draws(net, 20):
+            split = build_splitting(net, H, g)
+            cfg = DualControlConfig.from_lambda1(
+                spectral_radius(split), p=1e-3, epsilon=1e-4, T=1
+            )
+            assert_matches_reference(net, H, split, cfg)
+
+    def test_vanished_route_price_matches_the_allocating_loop(self, two_flow_network):
+        net = two_flow_network
+        rng = np.random.default_rng(3)
+        for _ in range(2):
+            H = rng.uniform(0.5, 2.0, 7)
+            w_star = rng.uniform(-1.0, 1.0, 5)
+            w_star[3] = -(w_star[0] + w_star[2])
+            g = gradient_solved_at(net, H, w_star)
+            split = build_splitting(net, H, g)
+            cfg = DualControlConfig.from_lambda1(
+                spectral_radius(split), p=1e-3, epsilon=1e-4, T=1
+            )
+            assert_matches_reference(net, H, split, cfg)
+
+    def test_cap_boundary_matches_the_allocating_loop(self, two_flow_network):
+        # a cap equal to the sweeps the solve needs returns; one less raises
+        net = two_flow_network
+        H, g = next(tightened_threshold_draws(net, 1))
+        split = build_splitting(net, H, g)
+        cfg = DualControlConfig.from_lambda1(spectral_radius(split), p=1e-3, epsilon=1e-4, T=1)
+        _, cert = run_dual_with_error_control(net, H, split, cfg)
+        assert cert.stage == 2 and cert.dual_iters > cfg.T
+        exact = DualControlConfig(T=cfg.T, p=cfg.p, epsilon=cfg.epsilon, F=cfg.F,
+                                  iter_cap=cert.dual_iters)
+        _, capped = assert_matches_reference(net, H, split, exact)
+        assert capped == cert
+        short = DualControlConfig(T=cfg.T, p=cfg.p, epsilon=cfg.epsilon, F=cfg.F,
+                                  iter_cap=cert.dual_iters - 1)
+        with pytest.raises(RuntimeError, match="cap"):
+            run_dual_with_error_control(net, H, split, short)
+        with pytest.raises(RuntimeError, match="cap"):
+            reference_run_dual(net, H, split, short)
 
     def test_contraction_factor_from_lambda1(self):
         cfg = DualControlConfig.from_lambda1(0.5, p=1e-3, epsilon=1e-4)

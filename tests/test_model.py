@@ -19,7 +19,8 @@ from netnewton import (
     load_network,
     save_network,
 )
-from netnewton.model import utility_terms
+from netnewton import build_auxiliary_graph
+from netnewton.model import _graph_diameter, utility_terms
 
 from conftest import TWO_FLOW_ROUTING, draw_network
 
@@ -78,6 +79,79 @@ class TestBuildNetwork:
                 TWO_FLOW_ROUTING, [1, 1, 2, 1, 1], [LogUtility()] * 2,
                 routes=[(0, 2), (1, 2, 4)],
             )
+
+
+def bfs_diameter(neighbors) -> int:
+    """Oracle for _graph_diameter: a breadth-first search from every node."""
+    n = len(neighbors)
+    diam = 0
+    for start in range(n):
+        dist = {start: 0}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in neighbors[u]:
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        if len(dist) < n:
+            raise InvalidNetworkError("communication graph is disconnected")
+        diam = max(diam, max(dist.values()))
+    return diam
+
+
+def adjacency_of(neighbors) -> np.ndarray:
+    n = len(neighbors)
+    adjacency = np.zeros((n, n), dtype=bool)
+    for i, nbrs in enumerate(neighbors):
+        adjacency[i, list(nbrs)] = True
+    return adjacency
+
+
+class TestGraphDiameter:
+    def test_line_graphs(self):
+        for n in range(1, 9):
+            nbrs = [{j for j in (i - 1, i + 1) if 0 <= j < n} for i in range(n)]
+            assert _graph_diameter(adjacency_of(nbrs)) == bfs_diameter(nbrs) == n - 1
+
+    def test_star_graphs(self):
+        for n in range(2, 9):
+            nbrs = [set(range(1, n))] + [{0}] * (n - 1)
+            want = 1 if n == 2 else 2
+            assert _graph_diameter(adjacency_of(nbrs)) == bfs_diameter(nbrs) == want
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 25))
+            upper = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.6), 1)
+            adjacency = upper | upper.T
+            nbrs = [set(np.nonzero(row)[0].tolist()) for row in adjacency]
+            try:
+                want = bfs_diameter(nbrs)
+            except InvalidNetworkError:
+                with pytest.raises(InvalidNetworkError, match="disconnected"):
+                    _graph_diameter(adjacency)
+                continue
+            assert _graph_diameter(adjacency) == want
+            checked += 1
+        assert checked >= 20
+
+    def test_network_graphs(self):
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            net = draw_network(rng)
+            assert net.comm_diameter == bfs_diameter(net.comm_neighbors)
+            aux = build_auxiliary_graph(net)
+            assert aux.diameter == bfs_diameter(aux.neighbors)
+
+    def test_disconnected_graph_raises(self):
+        nbrs = [{1}, {0}, {3}, {2}]
+        with pytest.raises(InvalidNetworkError, match="disconnected"):
+            _graph_diameter(adjacency_of(nbrs))
 
 
 class TestFeasibleInit:

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -48,6 +49,46 @@ def test_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so an invariant check must raise
+    # AssertionError itself
+    package = Path(netnewton.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_invariant_checks_hold_under_optimize():
+    # a price iteration that is no contraction, and a squared decrement
+    # that comes out negative, still raise in an interpreter run with -O
+    src = str(Path(netnewton.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import numpy as np, netnewton as nn\n"
+        "assert False, 'assert statements run'\n"
+        "split = nn.SplittingData(dk=np.full(2, 0.1), bk=np.array([[0.0, 1.0], [1.0, 0.0]]),\n"
+        "                         bbar=np.ones(2), rhs=np.zeros(2))\n"
+        "net = nn.build_network([[1, 0], [0, 1], [1, 1]], [1, 1, 2], [nn.LogUtility()] * 2)\n"
+        "aux = nn.build_auxiliary_graph(net)\n"
+        "for check in (lambda: nn.spectral_radius(split),\n"
+        "              lambda: nn.compute_theta(net, aux, np.ones(5), -np.ones(5))):\n"
+        "    try:\n"
+        "        check()\n"
+        "        print('passed')\n"
+        "    except AssertionError as exc:\n"
+        "        print('raised:', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    contraction, decrement = proc.stdout.splitlines()
+    assert contraction.startswith("raised: price iteration is not a contraction: 1.81")
+    assert decrement == "raised: squared decrement came out negative"
 
 
 def test_study_makes_one_recorded_call_per_row_in_row_order():
