@@ -14,6 +14,7 @@ from .direction import (
     inexact_decrement,
     kkt_direction,
     primal_direction,
+    solve_dual_exact,
 )
 from .errorcontrol import (
     DualControlConfig,
@@ -63,7 +64,6 @@ from .splitting import (
     dual_step_distributed,
     dual_step_matrix,
     init_dual_state,
-    solve_dual_exact,
     spectral_diagnostics,
     spectral_radius,
     weighted_max_cut,

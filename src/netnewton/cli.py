@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"netnewton: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, AssertionError) as exc:
         print(f"netnewton: {exc}", file=sys.stderr)
         return 1
 

@@ -3,8 +3,9 @@
 The working direction is assembled in two stages so that flow conservation
 survives an inexact price vector: rates move against the gradient plus
 route price, and each link's slack absorbs exactly the rate change routed
-through it. A dense saddle-system solve is kept alongside as the oracle
-for exactness tests, and in a stacked form for the reference method.
+through it. The exact direction is one dense saddle-system solve over a
+stack of systems; one network's exact direction and prices are its batch
+of one.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Network
-from .splitting import solve_dual_exact
+from .splitting import _checked_hessian
 
 __all__ = [
     "NewtonDirection",
     "kkt_direction",
     "stacked_kkt_direction",
+    "solve_dual_exact",
     "primal_direction",
     "exact_decrement",
     "inexact_decrement",
@@ -39,31 +41,27 @@ class NewtonDirection:
 
 
 def kkt_direction(network: Network, hessian_diag, grad):
-    """Dense oracle for the full saddle system.
-
-    Solves for the exact direction and multipliers by block elimination:
-    prices from the reduced system, then delta = -H^-1 (grad + A' w).
-    Asserts the assembled saddle-system residual before returning.
-    """
-    H = np.asarray(hessian_diag, dtype=float)
-    g = np.asarray(grad, dtype=float)
-    A = network.incidence
-    w = solve_dual_exact(network, H, g)
-    delta = -(g + A.T @ w) / H
-    top = np.abs(H * delta + A.T @ w + g).max()
-    bottom = np.abs(A @ delta).max()
-    scale = max(np.abs(g).max(), 1.0)
-    if not (top <= 1e-8 * scale and bottom <= 1e-8 * scale):
-        raise AssertionError("saddle residual too large")
-    return delta, w
+    """Exact direction and prices (delta, w) of one network's saddle
+    system: the batch of one of stacked_kkt_direction."""
+    H = np.asarray(hessian_diag, dtype=float)[None]
+    g = np.asarray(grad, dtype=float)[None]
+    delta, w = stacked_kkt_direction(network.incidence[None], H, g)
+    return delta[0], w[0]
 
 
-def stacked_kkt_direction(A, H, g) -> np.ndarray:
-    """kkt_direction's delta for a stack of networks: (T, L, N) incidence
-    matrices, (T, N) Hessian diagonals and gradients. The dual systems are
-    solved together by one batched LU, the factorization kkt_direction
-    uses for each network alone, so the result matches kkt_direction's to
-    rounding. kkt_direction's residual checks hold per network."""
+def solve_dual_exact(network: Network, hessian_diag, grad) -> np.ndarray:
+    """Exact prices of the dual system; the fixed-point oracle."""
+    return kkt_direction(network, hessian_diag, grad)[1]
+
+
+def stacked_kkt_direction(A, H, g):
+    """Exact directions and prices (delta, w) of a stack of saddle systems:
+    (T, L, N) incidence matrices A, where T is K or 1 (one network at K
+    points), and (K, N) Hessian diagonals and gradients. Block elimination
+    takes w from the dual system (A H^-1 A') w = -A H^-1 g by LU, then
+    delta = -H^-1 (g + A' w). Checks H, then asserts each system's dual
+    and saddle residuals."""
+    H, g = _checked_hessian(H, g, A.shape[-1], ndim=2)
     A_T = A.transpose(0, 2, 1)
     AD = A * (1.0 / H)[:, None, :]
     G = AD @ A_T
@@ -79,7 +77,7 @@ def stacked_kkt_direction(A, H, g) -> np.ndarray:
     tol = 1e-8 * np.maximum(np.abs(g).max(axis=1), 1.0)
     if not (np.all(top <= tol) and np.all(bottom <= tol)):
         raise AssertionError("saddle residual too large")
-    return delta
+    return delta, w[..., 0]
 
 
 def primal_direction(network: Network, hessian_diag, grad, w) -> NewtonDirection:

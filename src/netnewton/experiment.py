@@ -228,8 +228,10 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonSummary:
 
     Every instance is drawn first and their reference optima are solved as
     one stack; the rows then run trial by trial, one solve per row.
-    Failures are caught and recorded on the affected row; the remaining
-    trials still contribute to the summary.
+    Failures of a row's solve are caught and recorded on that row; the
+    remaining trials still contribute to the summary. A failure of the
+    stacked reference solve stops the study, since every row needs its
+    trial's h_ref.
     """
     nets = [
         random_network(

@@ -5,7 +5,8 @@ error-controlled price iteration, form the feasibility-preserving
 direction, recover the decrement through the exact finite-round
 aggregation, and step. The stepsize is damped (b / (theta + 1)) until the
 decrement first drops below the threshold V, after which every step is a
-unit step; the switch is permanent.
+unit step; the switch is permanent. The exact reference method is one
+loop of dense steps over a stack of networks, reference_solve its batch of one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auxgraph import build_auxiliary_graph, compute_theta
-from .direction import inexact_decrement, kkt_direction, primal_direction, stacked_kkt_direction
+from .direction import primal_direction, stacked_kkt_direction
 from .errorcontrol import DualControlConfig, run_dual_with_error_control
 from .metrics import MessageMetrics
 from .model import (
@@ -35,6 +36,7 @@ from .model import (
     feasible_init,
     group_method,
     stack_utility_groups,
+    utility_method,
 )
 from .splitting import build_splitting, spectral_diagnostics, spectral_radius
 
@@ -256,37 +258,60 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
 _REFERENCE_MAX_STEPS = 500
 
 
+def _exact_newton(networks, x, mu: float, scale: float, tol: float) -> list:
+    """The exact method on networks that share (L, S) and the utility
+    layout, from a (T, S + L) stack of points x updated in place, at barrier
+    weight mu and utility scale. Each step takes the dense exact direction
+    and the stepsize rule at the default V and b. A trial keeps its own
+    damped flag and leaves the stack when its decrement reaches tol or after
+    _REFERENCE_MAX_STEPS steps. Returns each trial's (k, decrement,
+    stepsize) rows."""
+    S = networks[0].num_sources
+    A = np.stack([net.incidence for net in networks])
+    groups = stack_utility_groups(networks)
+    d1, d2 = group_method(groups, "d1"), group_method(groups, "d2")
+    V = SolverConfig.V
+    b = _default_b(V)
+    damped = [True] * len(x)
+    traces = [[] for _ in range(len(x))]
+    active = np.arange(len(x))
+    for k in range(_REFERENCE_MAX_STEPS):
+        g = barrier_grad(x, S, mu, scale, d1)[active]
+        H = barrier_hessian_diag(x, S, mu, scale, d2)[active]
+        delta, _ = stacked_kkt_direction(A[active], H, g)
+        lam = np.sqrt(np.sum(delta * delta * H, axis=1))
+        d = np.empty(len(active))
+        for j, (t, lam_t) in enumerate(zip(active.tolist(), lam.tolist())):
+            step, damped[t] = stepsize_rule(lam_t, damped[t], V, b)
+            d[j] = step
+            traces[t].append((k, lam_t, step))
+        moving = ~(lam <= tol)
+        active = active[moving]
+        x[active] = x[active] + d[moving, None] * delta[moving]
+        if not np.all(x[active] > 0):
+            raise AssertionError("reference iterate lost strict positivity")
+        if not active.size:
+            break
+    return traces
+
+
 def reference_solve(problem: BarrierProblem, x0=None, tol: float = 1e-12) -> SolveResult:
     """Exact method: dense price solve and exact decrement every step.
 
     Used as the high-accuracy reference the distributed method is compared
-    against; shares the stepsize rule with exact inputs, at the default
-    V and its damping constant, for at most _REFERENCE_MAX_STEPS steps.
+    against; the batch of one of the stacked steps of reference_optima.
+    Its trace rows are (k, decrement, stepsize).
     """
     net = problem.network
-    V = SolverConfig.V
-    b = _default_b(V)
-    x = feasible_init(net).values.copy() if x0 is None else np.array(x0, dtype=float)
-    damped = True
-    trace = []
-    converged = False
-    for k in range(_REFERENCE_MAX_STEPS):
-        g = eval_grad(problem, x)
-        H = eval_hessian_diag(problem, x)
-        delta, _ = kkt_direction(net, H, g)
-        lam = inexact_decrement(delta, H)
-        d, damped = stepsize_rule(lam, damped, V, b)
-        trace.append((k, eval_f(problem, x), lam, d))
-        if lam <= tol:
-            converged = True
-            break
-        x = x + d * delta
-        if not np.all(x > 0):
-            raise AssertionError("reference iterate lost strict positivity")
+    x = np.array(feasible_init(net).values if x0 is None else x0, dtype=float, ndmin=2)
+    if not np.all(x > 0):
+        raise ValueError("objective is only defined for strictly positive x")
+    trace = _exact_newton([net], x, problem.mu, problem.scale, tol)[0]
+    x = x[0]
     return SolveResult(
         x=x,
         trace=trace,
-        converged=converged,
+        converged=trace[-1][1] <= tol,
         metrics=MessageMetrics(),
         f_final=eval_f(problem, x),
         h_final=eval_h(net, x),
@@ -303,11 +328,11 @@ def reference_optima(networks) -> list:
     """High-accuracy optima of several capacity-constrained problems, as a
     list of (x, h) in input order.
 
-    Each network follows the central path by raising the utility scale
-    geometrically up to 1e8 with warm starts, solving each stage with the
-    exact method of reference_solve. Networks that share (L, S) and
-    the utility-family layout run as one stack of dense steps; any other
-    runs as a batch of one.
+    Each network follows the central path with warm starts: stage k runs
+    the exact method at utility scale 10^k, for k = 0, ..., 8 (equivalent
+    to shrinking the barrier weight to 1e-8), to decrement 1e-10. Networks
+    that share (L, S) and the utility-family layout run as one stack; any
+    other runs as a batch of one.
     """
     stacks = {}
     for i, net in enumerate(networks):
@@ -315,52 +340,13 @@ def reference_optima(networks) -> list:
         stacks.setdefault(key, []).append(i)
     xs = [None] * len(networks)
     for members in stacks.values():
-        stacked = _central_path([networks[i] for i in members])
-        for i, x in zip(members, stacked):
-            xs[i] = x.copy()
+        stack = [networks[i] for i in members]
+        x = np.stack([feasible_init(net).values for net in stack])
+        for k in range(9):
+            _exact_newton(stack, x, 1.0, 10.0**k, 1e-10)
+        for i, x_i in zip(members, x):
+            xs[i] = x_i.copy()
     return [(x, eval_h(net, x)) for net, x in zip(networks, xs)]
-
-
-def _central_path(networks) -> np.ndarray:
-    """reference_optima's central path for networks sharing (L, S) and the
-    utility layout, as a (T, S + L) stack of final points.
-
-    Each stage multiplies the utility scale by 10, from 1 up to 1e8
-    (equivalent to shrinking the barrier weight to 1e-8), and takes exact
-    Newton steps from the previous stage's point. All trials of a stage
-    start together, so the stage's step counter is every active trial's
-    own. A trial keeps its own damped flag and leaves the stack when its
-    decrement reaches 1e-10 or after _REFERENCE_MAX_STEPS steps.
-    """
-    S = networks[0].num_sources
-    V = SolverConfig.V
-    b = _default_b(V)
-    A = np.stack([net.incidence for net in networks])
-    groups = stack_utility_groups(networks)
-    d1, d2 = group_method(groups, "d1"), group_method(groups, "d2")
-    x = np.stack([feasible_init(net).values for net in networks])
-    scale, scale_max = 1.0, 1e8
-    while True:
-        damped = [True] * len(networks)
-        active = np.arange(len(networks))
-        for _ in range(_REFERENCE_MAX_STEPS):
-            g = barrier_grad(x, S, 1.0, scale, d1)[active]
-            H = barrier_hessian_diag(x, S, 1.0, scale, d2)[active]
-            delta = stacked_kkt_direction(A[active], H, g)
-            lam = np.sqrt(np.sum(delta * delta * H, axis=1))
-            d = np.empty(len(active))
-            for j, (t, lam_t) in enumerate(zip(active.tolist(), lam.tolist())):
-                d[j], damped[t] = stepsize_rule(lam_t, damped[t], V, b)
-            moving = ~(lam <= 1e-10)
-            active = active[moving]
-            x[active] = x[active] + d[moving, None] * delta[moving]
-            if not np.all(x[active] > 0):
-                raise AssertionError("reference iterate lost strict positivity")
-            if not active.size:
-                break
-        if scale >= scale_max:
-            return x
-        scale = min(scale * 10.0, scale_max)
 
 
 @dataclass
@@ -506,14 +492,13 @@ def phase_diagnostics(
     if any(rec.x is None for rec in trace):
         raise ValueError("phase diagnostics need stored iterates")
 
-    exact = []
-    fvals = []
-    for rec in trace:
-        g = eval_grad(problem, rec.x)
-        H = eval_hessian_diag(problem, rec.x)
-        delta, _ = kkt_direction(net, H, g)
-        exact.append(inexact_decrement(delta, H))
-        fvals.append(eval_f(problem, rec.x))
+    xs = np.stack([rec.x for rec in trace])
+    S = net.num_sources
+    g = barrier_grad(xs, S, problem.mu, problem.scale, utility_method(net, "d1"))
+    H = barrier_hessian_diag(xs, S, problem.mu, problem.scale, utility_method(net, "d2"))
+    delta, _ = stacked_kkt_direction(net.incidence[None], H, g)
+    exact = np.sqrt(np.sum(delta * delta * H, axis=1)).tolist()
+    fvals = [eval_f(problem, rec.x) for rec in trace]
 
     # damped phase: guaranteed decrease constant
     y_floor = (2.0 * V * b - V + b - 1.0) / b

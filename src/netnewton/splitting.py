@@ -5,9 +5,10 @@ splitting A H^-1 A' into a diagonal part D + Bbar and a remainder
 B - Bbar, where B is the off-diagonal coupling and Bbar its row sums.
 The resulting fixed-point iteration only moves information between each
 link and the sources crossing it, which is what makes it implementable
-with route-aggregate message exchange. The same module carries the dense
-direct solve used as an oracle, and spectral diagnostics of the link
-coupling graph that governs the iteration's convergence rate.
+with route-aggregate message exchange. The same module owns the check
+that H can be inverted, which the dense exact solve in direction shares,
+and carries spectral diagnostics of the link coupling graph that governs
+the iteration's convergence rate.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "dual_step_matrix",
     "init_dual_state",
     "dual_step_distributed",
-    "solve_dual_exact",
     "build_dual_graph",
     "spectral_radius",
     "weighted_max_cut",
@@ -79,22 +79,22 @@ class SplittingData:
         return self.rhs / self.denom
 
 
-def _dual_system(network: Network, hessian_diag, grad):
-    """A H^-1 A' and -A H^-1 grad, the matrix and right-hand side of the
-    dual system, after checking that H can be inverted."""
+def _checked_hessian(hessian_diag, grad, n: int, ndim: int = 1):
+    """hessian_diag and grad as float arrays of one ndim-axis shape ending
+    in n = S + L, after checking that H can be inverted."""
     H = np.asarray(hessian_diag, dtype=float)
     g = np.asarray(grad, dtype=float)
-    n = network.num_sources + network.num_links
-    if H.shape != (n,) or g.shape != (n,):
+    if H.ndim != ndim or H.shape[-1] != n or g.shape != H.shape:
         raise ValueError("hessian_diag and grad must have length S + L")
     if not np.all((H > 0) & (H < np.inf)):
         raise ValueError("hessian diagonal must be finite and strictly positive")
-    AD = network.incidence * (1.0 / H)
-    return AD @ network.incidence.T, -AD @ g
+    return H, g
 
 
 def build_splitting(network: Network, hessian_diag, grad) -> SplittingData:
-    G, rhs = _dual_system(network, hessian_diag, grad)
+    H, g = _checked_hessian(hessian_diag, grad, network.num_sources + network.num_links)
+    AD = network.incidence * (1.0 / H)
+    G, rhs = AD @ network.incidence.T, -AD @ g
     dk = np.diag(G).copy()
     bk = G - np.diag(dk)
     bbar = bk.sum(axis=1)
@@ -122,17 +122,6 @@ def dual_step_matrix(split: SplittingData, w, out=None) -> np.ndarray:
     split.iteration_matrix.dot(w, out)
     out += split.offset
     return out
-
-
-def solve_dual_exact(network: Network, hessian_diag, grad) -> np.ndarray:
-    """Dense solve of the dual system by LU; the fixed-point oracle."""
-    G, rhs = _dual_system(network, hessian_diag, grad)
-    w = np.linalg.solve(G, rhs)
-    resid = np.abs(G @ w - rhs).max()
-    scale = max(np.abs(rhs).max(), 1.0)
-    if not resid <= 1e-10 * scale:
-        raise AssertionError(f"dual solve residual {resid:.3e} too large")
-    return w
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
 
+    @pytest.mark.parametrize("capacity_range, code, message", [
+        # the reference optimum's saddle residual check fails
+        ([1e12, 2e12], 1, "saddle residual too large"),
+        # the Hessian at the feasible start overflows to inf
+        ([1e-150, 2e-150], 2, "finite and strictly positive"),
+        ([1e-300, 2e-300], 2, "finite and strictly positive"),
+    ], ids=["huge", "tiny", "tinier"])
+    def test_compare_reference_failure_reported(self, tmp_path, capsys, capacity_range,
+                                                code, message):
+        # the stacked reference solve runs before any row, so its failure
+        # stops the study with one line on stderr, never a traceback
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"trials": 2, "capacity_range": capacity_range,
+                                    "methods": ["newton"]}))
+        assert main(["compare", str(spec)]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
     def test_parser_defaults_have_one_owner(self):
         parser = build_parser()
         args = vars(parser.parse_args(["solve", "x.json"]))

@@ -12,6 +12,8 @@ from netnewton import (
     SolverConfig,
     build_dual_graph,
     build_network,
+    eval_f,
+    eval_grad,
     eval_h,
     eval_hessian_diag,
     feasible_init,
@@ -28,6 +30,7 @@ from netnewton import (
 from netnewton.solver import _default_b, _quad_constants, trace_to_json, write_trace_csv
 
 from conftest import draw_network
+from test_direction import kkt_direction_oracle
 
 
 class TestConfig:
@@ -336,14 +339,38 @@ class TestTwoPass:
         np.testing.assert_allclose(tp_shift.x, tp_plain.x, rtol=1e-9)
 
 
+def reference_solve_oracle(problem, x0=None, tol=1e-12):
+    """Test oracle for reference_solve: the per-network loop it replaced,
+    one kkt_direction_oracle step at a time. Returns (x, trace, converged)
+    with reference_solve's (k, decrement, stepsize) trace rows."""
+    V = SolverConfig.V
+    b = _default_b(V)
+    x = feasible_init(problem.network).values.copy() if x0 is None else np.array(x0, dtype=float)
+    damped = True
+    trace = []
+    for k in range(500):
+        g = eval_grad(problem, x)
+        H = eval_hessian_diag(problem, x)
+        delta, _ = kkt_direction_oracle(problem.network, H, g)
+        lam = float(np.sqrt(np.sum(delta * delta * H)))
+        d, damped = stepsize_rule(lam, damped, V, b)
+        trace.append((k, lam, d))
+        if lam <= tol:
+            return x, trace, True
+        x = x + d * delta
+        if not np.all(x > 0):
+            raise AssertionError("reference iterate lost strict positivity")
+    return x, trace, False
+
+
 def central_path_oracle(net):
     """Test oracle for reference_optima: the per-network central path it
-    replaced, reference_solve chained over the utility scales 1, 10, ...,
-    1e8 from the feasible start, each stage to decrement 1e-10."""
+    replaced, reference_solve_oracle chained over the utility scales 1, 10,
+    ..., 1e8 from the feasible start, each stage to decrement 1e-10."""
     x = feasible_init(net).values.copy()
     scale = 1.0
     while True:
-        x = reference_solve(BarrierProblem(net, 1.0, scale), x0=x, tol=1e-10).x
+        x = reference_solve_oracle(BarrierProblem(net, 1.0, scale), x0=x, tol=1e-10)[0]
         if scale >= 1e8:
             return x, eval_h(net, x)
         scale = min(scale * 10.0, 1e8)
@@ -371,10 +398,30 @@ class TestReference:
             assert h == h_one
         assert reference_optima([]) == []
 
+    def test_reference_solve_matches_oracle_bit_for_bit(self):
+        for trial in range(10):
+            net = study_network(trial)
+            for mu, scale in [(1.0, 1.0), (1.0, 1e3), (2.0, 1.0)]:
+                prob = BarrierProblem(net, mu, scale)
+                res = reference_solve(prob)
+                x, trace, converged = reference_solve_oracle(prob)
+                np.testing.assert_array_equal(res.x, x)
+                assert res.trace == trace
+                assert res.converged is converged
+                assert res.f_final == eval_f(prob, x)
+                assert res.h_final == eval_h(net, x)
+            # the chained central path, warm-started through x0
+            x = x_or = feasible_init(net).values
+            for scale in 10.0 ** np.arange(9):
+                prob = BarrierProblem(net, 1.0, scale)
+                x = reference_solve(prob, x0=x, tol=1e-10).x
+                x_or = reference_solve_oracle(prob, x0=x_or, tol=1e-10)[0]
+                np.testing.assert_array_equal(x, x_or)
+
     def test_reference_exact_quadratic_tail(self, two_flow_network):
         # with exact directions the decrement square-contracts once small
         res = reference_solve(BarrierProblem(two_flow_network, 1.0), tol=1e-12)
-        lams = [row[2] for row in res.trace]
+        lams = [row[1] for row in res.trace]
         small = [lam for lam in lams if lam < 0.12]
         for a, b in zip(small, small[1:]):
             if a > 1e-8:

@@ -10,6 +10,7 @@ from netnewton import (
     dual_step_distributed,
     dual_step_matrix,
     init_dual_state,
+    kkt_direction,
     solve_dual_exact,
     spectral_diagnostics,
     spectral_radius,
@@ -168,11 +169,12 @@ class TestDualIteration:
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
     def test_exact_solve_rejects_unusable_hessian(self, two_flow_network, bad):
         # the LU solve would return prices for an indefinite or non-finite
-        # system, so the oracle checks H as build_splitting does
+        # system, so the exact solve checks H as build_splitting does
         H = np.ones(7)
         H[2] = bad
-        with pytest.raises(ValueError, match="finite and strictly positive"):
-            solve_dual_exact(two_flow_network, H, np.zeros(7))
+        for solve in (solve_dual_exact, kkt_direction):
+            with pytest.raises(ValueError, match="finite and strictly positive"):
+                solve(two_flow_network, H, np.zeros(7))
 
     def test_uninitialized_aggregate_rejected(self, tiny_network):
         state = DualState(

@@ -64,6 +64,21 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_one_function_calls_the_dense_solve():
+    # the exact direction exists once, as a stack: every per-network dense
+    # solve is its batch of one, so np.linalg.solve has a single caller
+    package = Path(netnewton.__file__).resolve().parent
+    callers = [
+        f"{path.name}:{func.name}"
+        for path in sorted(package.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.solve"
+    ]
+    assert callers == ["direction.py:stacked_kkt_direction"]
+
+
 def test_invariant_checks_hold_under_optimize():
     # a price iteration that is no contraction, and a squared decrement
     # that comes out negative, still raise in an interpreter run with -O
