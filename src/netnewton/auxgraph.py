@@ -25,6 +25,7 @@ from .model import InvalidNetworkError, Network, _frozen, _graph_diameter
 
 __all__ = [
     "AuxiliaryGraph",
+    "AggregationBuffers",
     "SummationRun",
     "build_auxiliary_graph",
     "distributed_sum",
@@ -219,7 +220,8 @@ class SummationRun:
 
 
 def distributed_sum(
-    network: Network, aux: AuxiliaryGraph, y_star, z_star, rounds: int | None = None
+    network: Network, aux: AuxiliaryGraph, y_star, z_star, rounds: int | None = None,
+    out=None,
 ) -> SummationRun:
     """Run synchronous rounds of the two-rule aggregation (S by default).
 
@@ -234,7 +236,9 @@ def distributed_sum(
 
         sum_i y_star_i + sum_l |S(l)| * z_star_l.
 
-    Further rounds leave these values unchanged.
+    Further rounds leave these values unchanged. With out, a pair of
+    (rounds + 1, S) and (rounds + 1, L) float arrays, the histories are
+    written into it.
     """
     S, L = network.num_sources, network.num_links
     ys = np.asarray(y_star, dtype=float)
@@ -247,8 +251,9 @@ def distributed_sum(
     # Round t writes row t of each history in place; over_y and over_z
     # take the over-counted part of row t - 1 before it is subtracted.
     # ndarray.dot runs the BLAS product of `@` and takes out more cheaply.
-    y_hist = np.empty((n + 1, S))
-    z_hist = np.empty((n + 1, L))
+    y_hist, z_hist = (np.empty((n + 1, S)), np.empty((n + 1, L))) if out is None else out
+    if y_hist.shape != (n + 1, S) or z_hist.shape != (n + 1, L):
+        raise ValueError("histories must hold rounds + 1 rows")
     over_y, over_z = np.empty(S), np.empty(L)
     np.add(ys, network.routing.T @ zs, y_hist[0])
     z_hist[0] = 0.0
@@ -264,27 +269,45 @@ def distributed_sum(
     return SummationRun(y_hist, z_hist, rounds=n)
 
 
-def compute_theta(network: Network, aux: AuxiliaryGraph, delta, hessian_diag):
+class AggregationBuffers:
+    """The arrays compute_theta writes one network's aggregations into:
+    the inputs, and the histories of aux.diameter + 1 rounds. A Newton
+    solve allocates them once for all its primal steps."""
+
+    def __init__(self, network: Network, aux: AuxiliaryGraph):
+        S, L = network.num_sources, network.num_links
+        rounds = aux.diameter + 1
+        self.rounds = rounds
+        # y_star then z_star; the sources' divisor 1 is exact
+        self.star = np.empty(S + L)
+        self.divisor = np.concatenate([np.ones(S), network.crossing_counts])
+        # one array, so that the final values of sources and links are one row
+        self.history = np.empty((rounds + 1, S + L))
+        self.histories = (self.history[:, :S], self.history[:, S:])
+        self.spread = np.empty(S + L)
+
+
+def compute_theta(network: Network, aux: AuxiliaryGraph, delta, hessian_diag, out=None):
     """Stepsize scalar: the decrement recovered from the aggregation.
 
     Feeds the squared, curvature-weighted direction entries through
     aux.diameter + 1 rounds of distributed_sum, the fewest that reach
     every participant, and takes the square root of the common value. With
     this path the stepsize scalar equals the decrement exactly (up to
-    float roundoff), so the decrement-approximation error is zero.
+    float roundoff), so the decrement-approximation error is zero. With
+    out (the AggregationBuffers of this network) the aggregation runs in it.
 
     Returns (theta, rounds).
     """
     H = np.asarray(hessian_diag, dtype=float)
     d = np.asarray(delta, dtype=float)
     S = network.num_sources
-    y_star = d[:S] ** 2 * H[:S]
-    z_star = d[S:] ** 2 * H[S:] / network.crossing_counts
-    run = distributed_sum(network, aux, y_star, z_star, rounds=aux.diameter + 1)
-    total = run.y_final[0]
-    spread = np.abs(
-        np.concatenate([run.y_final, run.z_final]) - total
-    ).max()
+    b = AggregationBuffers(network, aux) if out is None else out
+    star = np.divide(np.multiply(np.square(d, b.star), H, b.star), b.divisor, b.star)
+    run = distributed_sum(network, aux, star[:S], star[S:], rounds=b.rounds, out=b.histories)
+    final = b.history[-1]  # run.y_final, then run.z_final
+    total = final[0]
+    spread = np.maximum.reduce(np.absolute(np.subtract(final, total, b.spread), b.spread))
     if not spread <= 1e-9 * max(abs(total), 1.0):
         raise AssertionError("aggregation values disagree")
     if not total >= -1e-12:

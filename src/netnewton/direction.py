@@ -72,15 +72,30 @@ def stacked_kkt_direction(A, H, g):
         raise AssertionError(f"dual solve residual {resid.max():.3e} too large")
     price = (A_T @ w)[..., 0]
     delta = -(g + price) / H
-    top = np.abs(H * delta + price + g).max(axis=1)
-    bottom = np.abs(A @ delta[..., None]).max(axis=(1, 2))
-    tol = 1e-8 * np.maximum(np.abs(g).max(axis=1), 1.0)
-    if not (np.all(top <= tol) and np.all(bottom <= tol)):
-        raise AssertionError("saddle residual too large")
+    _check_saddle(A, H, g, delta, price)
     return delta, w[..., 0]
 
 
-def primal_direction(network: Network, hessian_diag, grad, w) -> NewtonDirection:
+def _check_saddle(A, H, g, delta, price) -> None:
+    """Assert both blocks of each saddle system, H delta + A'w + g = 0 and
+    A delta = 0, to 1e-8 of the size of their terms: the largest of
+    |H delta|, |A'w| (price), |g| and 1 for the top block, and of
+    A (|g| + |A'w|) / H, which bounds A |delta|, and 1 for the bottom (an
+    incidence matrix is nonnegative). Rounding alone then passes at any
+    scale of the utilities or capacities."""
+    absolute, peak, maximum = np.absolute, np.maximum.reduce, np.maximum
+    Hd = H * delta
+    top = peak(absolute(Hd + price + g), axis=1)
+    size_p, size_g = absolute(price), absolute(g)
+    top_size = maximum(maximum(peak(absolute(Hd), axis=1), peak(size_p, axis=1)),
+                       maximum(peak(size_g, axis=1), 1.0))
+    bottom = peak(absolute(A @ delta[..., None]), axis=(1, 2))
+    reach = peak(A @ ((size_g + size_p) / H)[..., None], axis=(1, 2))
+    if not (np.all(top <= 1e-8 * top_size) and np.all(bottom <= 1e-8 * maximum(reach, 1.0))):
+        raise AssertionError("saddle residual too large")
+
+
+def primal_direction(network: Network, hessian_diag, grad, w, out=None) -> NewtonDirection:
     """Two-stage direction for an arbitrary price vector w.
 
     Rates:  delta_s[i] = -(grad_i + route price of i) / H_ii
@@ -88,15 +103,17 @@ def primal_direction(network: Network, hessian_diag, grad, w) -> NewtonDirection
 
     The slack stage zeroes A @ delta identically, so every stepsize keeps
     the iterate on the flow-conservation manifold regardless of how far w
-    is from the exact prices.
+    is from the exact prices. With out (a float vector of length S + L)
+    delta is written into it.
     """
     H = np.asarray(hessian_diag, dtype=float)
     g = np.asarray(grad, dtype=float)
     S = network.num_sources
-    pi = network.routing.T @ np.asarray(w, dtype=float)
-    delta_s = -(g[:S] + pi) / H[:S]
-    delta_y = -(network.routing @ delta_s)
-    delta = np.concatenate([delta_s, delta_y])
+    delta = np.empty(H.shape) if out is None else out
+    delta_s, delta_y = delta[:S], delta[S:]
+    network.routing.T.dot(np.asarray(w, dtype=float), delta_s)  # route prices
+    np.divide(np.negative(np.add(g[:S], delta_s, delta_s), delta_s), H[:S], delta_s)
+    np.negative(network.routing.dot(delta_s, delta_y), delta_y)
     return NewtonDirection(delta=delta, decrement=inexact_decrement(delta, H))
 
 
@@ -104,7 +121,7 @@ def inexact_decrement(delta, hessian_diag) -> float:
     """Curvature norm sqrt(sum_i delta_i^2 H_ii) of a direction."""
     d = np.asarray(delta, dtype=float)
     H = np.asarray(hessian_diag, dtype=float)
-    return float(np.sqrt(np.sum(d * d * H)))
+    return float(np.sqrt(np.add.reduce(d * d * H, axis=None)))
 
 
 def exact_decrement(network: Network, hessian_diag, grad) -> float:

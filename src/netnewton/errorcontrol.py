@@ -9,10 +9,15 @@ accepts when the certified relative error is within p. Otherwise stage 2
 derives a sup-norm threshold on consecutive price changes that caps the
 remaining absolute error by epsilon, and iterates until it is met.
 
-A solve writes its sweeps through three vectors it allocates once, and
-tests every stage-2 sweep before it runs the next: sweeping ahead in
-blocks would be cheaper per sweep, but would execute sweeps that the
-certificate, the message charge and the traced sweep count never see.
+A solve writes its sweeps and tests through the PriceBuffers of its
+network, which a Newton solve allocates once for all its primal steps,
+and tests every stage-2 sweep before it runs the next. Sweeping ahead in
+blocks, as the first-order loop does with its 256-row blocks, would make
+the test cheaper per sweep, but would execute sweeps past the accepted
+one that the certificate, the message charge and the traced sweep count
+never see. Instead the sum of squares of a change, one BLAS product,
+rules out a sweep whose sup-norm change certainly exceeds the threshold,
+and only the remaining sweeps take the exact test.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .splitting import SplittingData, dual_step_matrix
 __all__ = [
     "ErrorCertificate",
     "DualControlConfig",
+    "PriceBuffers",
     "stage1_beta",
     "stage2_h",
     "max_consensus",
@@ -112,17 +118,31 @@ def stage1_beta(network, w_t, w_t1, big_pi0, big_pi_t, F, p) -> float:
     prices and aggregates are float arrays.
     """
     diff = float(np.abs(w_t1 - w_t).max())
+    R = network.routing
+    num = np.concatenate([big_pi0, R @ big_pi0])
+    return _beta(diff, network.num_links, F, p, num, np.concatenate([big_pi_t, R @ big_pi_t]),
+                 network.num_sources)
+
+
+def _beta(diff, num_links, F, p, num, agg, S) -> float:
+    """stage1_beta from the price change, where num holds Pi0 and its link
+    sums, and agg holds Pi_t and its link sums, the S sources first."""
     if diff == 0.0:
         return math.inf
-    amp = math.sqrt(network.num_links) * diff / (1.0 - F)
-    num_link = network.routing @ big_pi0
-    den_src = np.abs(big_pi_t)
-    den_link = np.abs(network.routing @ big_pi_t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho_src = np.where(den_src < _TINY_PRICE, np.inf, amp * big_pi0 / den_src)
-        rho_link = np.where(den_link < _TINY_PRICE, np.inf, amp * num_link / den_link)
-
-    worst = max(float(rho_src.max()), float(rho_link.max()))
+    amp = math.sqrt(num_links) * diff / (1.0 - F)
+    den = np.absolute(agg)
+    if np.minimum.reduce(den) >= _TINY_PRICE:
+        rho = np.divide(np.multiply(amp, num), den)
+        worst = float(np.maximum.reduce(rho))
+    else:  # a vanished (or NaN) aggregate is masked
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = np.where(den < _TINY_PRICE, np.inf, amp * num / den)
+        worst = math.nan
+    if worst != worst:
+        # the masked form, or a NaN ratio: the larger of the source and the
+        # link maximum, in that order, which keeps the source maximum when
+        # only a link ratio is NaN
+        worst = max(float(np.maximum.reduce(rho[:S])), float(np.maximum.reduce(rho[S:])))
     if worst == 0.0:
         return math.inf
     return (worst / p) ** -2
@@ -142,9 +162,11 @@ def stage2_h(network, hessian_diag, big_pi0, pi0, beta, epsilon, F) -> float:
         raise ValueError("epsilon must be positive")
     S, L = network.num_sources, network.num_links
     c = math.sqrt(epsilon / ((1.0 - beta) * (L + S) * L)) * (1.0 - F)
-    h_src = c / (pi0 * hessian_diag[:S] ** -0.5)
-    h_link = c / (np.sqrt(hessian_diag[S:]) * (network.routing @ big_pi0))
-    return float(min(h_src.min(), h_link.min()))
+    # The denominators are positive and c >= 0, and rounded division is
+    # monotone, so the smallest c / a is c over the largest a, bit for bit.
+    src = np.maximum.reduce(pi0 * hessian_diag[:S] ** -0.5)
+    link = np.maximum.reduce(np.sqrt(hessian_diag[S:]) * (network.routing @ big_pi0))
+    return c / max(float(src), float(link))
 
 
 def max_consensus(values, neighbors, rounds: int | None = None):
@@ -180,9 +202,33 @@ def max_consensus(values, neighbors, rounds: int | None = None):
     return v, used
 
 
-def _weighted_route_price(network: Network, hessian_diag, w) -> np.ndarray:
-    """Per source: the sum of w over its route, divided by its curvature."""
-    return (network.routing.T @ w) / hessian_diag[: network.num_sources]
+def _change_bound(num_links: int, h: float) -> float:
+    """A bound that the computed sum of squares of a change of num_links
+    prices can exceed only when the change's sup norm exceeds h.
+
+    The sup norm at most h caps the sum at L h^2. The factor 2 covers the
+    rounding of both sides, and the 1e-300 the squares that underflow; an
+    h whose square overflows gives an infinite bound, which nothing
+    exceeds. So a sweep whose change exceeds the bound would fail the exact
+    test, and skipping that test changes nothing.
+    """
+    return 2.0 * num_links * h * h + 1e-300
+
+
+class PriceBuffers:
+    """The vectors run_dual_with_error_control writes one network's price
+    solves through, with the operands that depend on the network alone. A
+    Newton solve allocates them once for all its primal steps."""
+
+    def __init__(self, network: Network):
+        S, L = network.num_sources, network.num_links
+        self.routing = network.routing
+        self.routing_t = network.routing.T
+        self.pi0 = self.routing_t @ np.ones(L)  # route lengths
+        self.prices = (np.empty(L), np.empty(L))
+        self.change = np.empty(L)
+        # Pi0 and Pi_t, each followed by its link sums
+        self.num, self.agg = np.empty(S + L), np.empty(S + L)
 
 
 def run_dual_with_error_control(
@@ -191,6 +237,7 @@ def run_dual_with_error_control(
     split: SplittingData,
     cfg: DualControlConfig,
     warm_start_w=None,
+    out=None,
 ):
     """Iterate prices until the direction-error tolerance is certified.
 
@@ -205,49 +252,64 @@ def run_dual_with_error_control(
     together.
 
     split is the splitting of the dual system at the current primal point
-    (build_splitting of hessian_diag and the gradient).
+    (build_splitting of hessian_diag and the gradient). With out (the
+    PriceBuffers of this network) the solve runs in it, and the returned
+    prices are one of its vectors, valid until its next solve; the warm
+    start may be that vector.
 
     Returns (accepted prices, ErrorCertificate); the certificate counts
     the sweeps and the max-consensus passes the solve executed.
     """
     H = np.asarray(hessian_diag, dtype=float)
-    ones = np.ones(network.num_links)
+    b = PriceBuffers(network) if out is None else out
+    S, L = network.num_sources, network.num_links
+    H_src = H[:S]
+    R, R_t = b.routing, b.routing_t
+    # Pi0 = pi0 / H and its link sums serve every retest and threshold
+    num, agg = b.num, b.agg
+    big_pi0, big_pi = num[:S], agg[:S]
+    R.dot(np.divide(b.pi0, H_src, big_pi0), num[S:])
+
+    def retest(w_prev, diff):
+        if diff != 0.0:
+            R.dot(np.divide(R_t.dot(w_prev, big_pi), H_src, big_pi), agg[S:])
+        return _beta(diff, L, cfg.F, cfg.p, num, agg, S)
+
+    # Each sweep writes into the buffer holding the iterate before w_prev,
+    # and `change` takes the stage-2 test.
+    w_prev, w_cur = b.prices
+    change = b.change
+    subtract, absolute, peak, sum_of_squares = (
+        np.subtract, np.absolute, np.maximum.reduce, b.change.dot
+    )
     if warm_start_w is None:
-        warm_start_w = ones
-    pi0 = network.routing.T @ ones
-    big_pi0 = _weighted_route_price(network, H, ones)
-
-    def retest(w_prev, w_cur):
-        return stage1_beta(
-            network, w_prev, w_cur, big_pi0, _weighted_route_price(network, H, w_prev),
-            cfg.F, cfg.p,
-        )
-
-    # Three buffers serve the whole solve: each sweep writes into the one
-    # holding the iterate before w_prev, and `change` takes the stage-2 test.
-    w_prev = np.array(warm_start_w, dtype=float)
-    w_cur = np.empty_like(w_prev)
-    change = np.empty_like(w_prev)
-    subtract, absolute, peak = np.subtract, np.absolute, np.maximum.reduce
+        w_prev.fill(1.0)
+    else:
+        np.copyto(w_prev, warm_start_w)
     dual_step_matrix(split, w_prev, w_cur)
     for _ in range(cfg.T - 1):
         w_prev, w_cur = w_cur, dual_step_matrix(split, w_cur, w_prev)
     steps = cfg.T
-    beta = retest(w_prev, w_cur)
+    beta = retest(w_prev, float(peak(absolute(subtract(w_cur, w_prev, change), change))))
     passes = 2  # the price change and beta
     h = None
     while not beta >= 1.0:  # a NaN beta goes on to stage2_h, which rejects it
-        h = stage2_h(network, H, big_pi0, pi0, beta, cfg.epsilon, cfg.F)
+        h = stage2_h(network, H, big_pi0, b.pi0, beta, cfg.epsilon, cfg.F)
+        bound = _change_bound(L, h)
         for steps in range(steps + 1, cfg.iter_cap + 1):
             w_prev, w_cur = w_cur, dual_step_matrix(split, w_cur, w_prev)
-            if peak(absolute(subtract(w_cur, w_prev, change), change)) <= h:
+            subtract(w_cur, w_prev, change)
+            if sum_of_squares(change) > bound:  # the exact test would fail
+                continue
+            diff = float(peak(absolute(change, change)))
+            if diff <= h:
                 break
         else:
             raise RuntimeError(
                 "price iteration exceeded the cap; F may underestimate the "
                 "contraction factor"
             )
-        beta_final = retest(w_prev, w_cur)
+        beta_final = retest(w_prev, diff)
         passes += 2  # agreeing on h, and the retest
         if beta <= beta_final < 1.0:
             # both certified bounds hold at w_prev with the tighter beta

@@ -33,6 +33,7 @@ __all__ = [
     "utility_method",
     "group_method",
     "stack_utility_groups",
+    "barrier_objective",
     "barrier_grad",
     "barrier_hessian_diag",
     "load_network",
@@ -142,25 +143,42 @@ def utility_from_dict(spec: dict):
     return UTILITY_FAMILIES[kind](**params)
 
 
-def _check_utility(u, s_max: float, index: int) -> None:
+def _check_utilities(network: "Network", s_max: float) -> None:
     """Reject utilities that are not strictly concave, nondecreasing on the
     reachable rate range, or whose negation fails the self-concordance
     inequality |U'''| <= 2 (-U'')**1.5 on a logarithmic sample grid.
+
+    Each utility family is checked once, over its stacked parameters; the
+    error names the first failing utility and the first check it fails.
     """
-    grid = _CHECK_GRID
-    d2 = np.asarray(u.d2(grid), dtype=float)
-    if not np.all(d2 < 0):
+    grid = _CHECK_GRID[:, None]
+    # monotone on (0, s_max]: rates can never exceed the largest capacity
+    probe = np.append(_CHECK_GRID[_CHECK_GRID <= s_max], s_max)[:, None]
+    S = network.num_sources
+    concave, concordant, monotone = (np.empty(S, dtype=bool) for _ in range(3))
+
+    def holds(condition, idx):
+        return np.broadcast_to(condition, (len(condition), len(idx))).all(axis=0)
+
+    # a utility that fails one check may overflow or go NaN in the next
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, u in network.utility_groups:
+            d2 = np.asarray(u.d2(grid), dtype=float)
+            d3 = np.abs(np.asarray(u.d3(grid), dtype=float))
+            concave[idx] = holds(d2 < 0, idx)
+            concordant[idx] = holds(d3 <= 2.0 * (-d2) ** 1.5 * (1.0 + 1e-9), idx)
+            monotone[idx] = holds(np.asarray(u.d1(probe), dtype=float) >= -1e-12, idx)
+    failed = ~(concave & concordant & monotone)
+    if not failed.any():
+        return
+    index = int(np.argmax(failed))
+    if not concave[index]:
         raise InvalidNetworkError(f"utility {index} is not strictly concave")
-    d3 = np.abs(np.asarray(u.d3(grid), dtype=float))
-    if not np.all(d3 <= 2.0 * (-d2) ** 1.5 * (1.0 + 1e-9)):
+    if not concordant[index]:
         raise InvalidNetworkError(f"utility {index} fails the self-concordance check")
-    # Monotone on (0, s_max]: rates can never exceed the largest capacity.
-    lo = grid[grid <= s_max]
-    probe = np.append(lo, s_max)
-    if not np.all(np.asarray(u.d1(probe), dtype=float) >= -1e-12):
-        raise InvalidNetworkError(
-            f"utility {index} is decreasing below the maximum capacity {s_max}"
-        )
+    raise InvalidNetworkError(
+        f"utility {index} is decreasing below the maximum capacity {s_max}"
+    )
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -203,6 +221,11 @@ class Network:
             tuple(np.nonzero(self.routing[l])[0].tolist())
             for l in range(self.num_links)
         )
+
+    @cached_property
+    def capacity_scale(self) -> float:
+        """The largest |capacity|, which feasibility_residual divides by."""
+        return np.abs(self.capacities).max()
 
     @cached_property
     def crossing_counts(self) -> np.ndarray:
@@ -322,9 +345,7 @@ def build_network(routing, capacities, utilities, routes=None) -> Network:
     # under shared flows exactly when the exchange graph is connected.
     net.comm_diameter
 
-    s_max = float(c.max())
-    for i, u in enumerate(utilities):
-        _check_utility(u, s_max, i)
+    _check_utilities(net, float(c.max()))
     return net
 
 
@@ -380,9 +401,8 @@ class PrimalVector:
 
 def feasibility_residual(network: Network, x) -> float:
     """Relative sup-norm violation of routing @ rates + slacks = capacities."""
-    c = network.capacities
     ax = network.incidence @ np.asarray(x, dtype=float)
-    return float(np.abs(ax - c).max() / np.abs(c).max())
+    return float(np.abs(ax - network.capacities).max() / network.capacity_scale)
 
 
 def feasible_init(network: Network) -> PrimalVector:
@@ -459,25 +479,41 @@ def utility_terms(network: Network, method: str, s) -> np.ndarray:
 
 def eval_f(problem: BarrierProblem, x) -> float:
     vals, s, _ = _split(problem, x)
-    util = float(utility_terms(problem.network, "value", s).sum())
-    return -problem.scale * util - problem.mu * float(np.sum(np.log(vals)))
+    value = utility_method(problem.network, "value")
+    return barrier_objective(vals, len(s), problem.mu, problem.scale, value)[0]
 
 
-def barrier_grad(x, num_sources: int, mu: float, scale: float, d1) -> np.ndarray:
+def barrier_objective(x, num_sources: int, mu: float, scale: float, value) -> tuple:
+    """(f, h) at one point x: the barrier objective and the negated total
+    utility (eval_h), from one evaluation of the bound utility value (see
+    utility_method)."""
+    util = float(np.add.reduce(value(x[:num_sources])))
+    return -scale * util - mu * float(np.add.reduce(np.log(x))), -util
+
+
+def barrier_grad(x, num_sources: int, mu: float, scale: float, d1, out=None) -> np.ndarray:
     """Gradient of f at x, given the bound utility derivative d1 (see
-    utility_method). The last axis of x is (rates, slacks); leading axes
-    stack several points."""
-    g = -mu / x
-    g[..., :num_sources] -= scale * d1(x[..., :num_sources])
+    utility_method), written into out when given. The last axis of x is
+    (rates, slacks); leading axes stack several points."""
+    g = np.divide(-mu, x, out)
+    g[..., :num_sources] -= _scaled(scale, d1(x[..., :num_sources]))
     return g
 
 
-def barrier_hessian_diag(x, num_sources: int, mu: float, scale: float, d2) -> np.ndarray:
-    """Hessian diagonal of f at x, laid out as in barrier_grad."""
+def _scaled(scale: float, terms):
+    """scale * terms, skipping the product by 1, which is exact."""
+    return terms if scale == 1.0 else scale * terms
+
+
+def barrier_hessian_diag(x, num_sources: int, mu: float, scale: float, d2,
+                         out=None) -> np.ndarray:
+    """Hessian diagonal of f at x, laid out as in barrier_grad, written
+    into out when given."""
     # an entry that overflows comes back as inf, which build_splitting rejects
     with np.errstate(divide="ignore", over="ignore"):
-        h = mu / x**2
-        h[..., :num_sources] -= scale * d2(x[..., :num_sources])
+        h = np.square(x, out)
+        np.divide(mu, h, h)
+        h[..., :num_sources] -= _scaled(scale, d2(x[..., :num_sources]))
     return h
 
 

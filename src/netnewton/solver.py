@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxgraph import build_auxiliary_graph, compute_theta
+from .auxgraph import AggregationBuffers, build_auxiliary_graph, compute_theta
 from .direction import primal_direction, stacked_kkt_direction
-from .errorcontrol import DualControlConfig, run_dual_with_error_control
+from .errorcontrol import DualControlConfig, PriceBuffers, run_dual_with_error_control
 from .metrics import MessageMetrics
 from .model import (
     FEASIBILITY_RTOL,
@@ -28,17 +28,21 @@ from .model import (
     Network,
     barrier_grad,
     barrier_hessian_diag,
+    barrier_objective,
     eval_f,
-    eval_grad,
     eval_h,
-    eval_hessian_diag,
     feasibility_residual,
     feasible_init,
     group_method,
     stack_utility_groups,
     utility_method,
 )
-from .splitting import build_splitting, spectral_diagnostics, spectral_radius
+from .splitting import (
+    SplittingBuffers,
+    build_splitting,
+    spectral_diagnostics,
+    spectral_radius,
+)
 
 __all__ = [
     "SolverConfig",
@@ -187,6 +191,15 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
     metrics.aux_construction_rounds = aux.rounds
     x = feasible_init(net).values.copy()
     resid = feasibility_residual(net, x)
+    # Bound once per solve: the utility methods, and the arrays that every
+    # step overwrites, with the operands that depend on the network alone.
+    # x is updated in place.
+    mu, scale = problem.mu, problem.scale
+    value, d1, d2 = (utility_method(net, m) for m in ("value", "d1", "d2"))
+    g, H, delta, step = (np.empty_like(x) for _ in range(4))
+    split_out, price_out = SplittingBuffers(net), PriceBuffers(net)
+    sum_out = AggregationBuffers(net, aux)
+    lowest = np.minimum.reduce
     w_warm = np.ones(net.num_links)
     damped = True
     trace: list[TraceRecord] = []
@@ -194,26 +207,27 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
 
     for k in range(config.max_primal_iters):
         consensus_start = metrics.consensus_rounds
-        g = eval_grad(problem, x)
-        H = eval_hessian_diag(problem, x)
-        split = build_splitting(net, H, g)
+        barrier_grad(x, S, mu, scale, d1, g)
+        barrier_hessian_diag(x, S, mu, scale, d2, H)
+        split = build_splitting(net, H, g, split_out)
         # no max cut per step: its exhaustive 2^(L-1) enumeration would dominate
         spectra = spectral_diagnostics(split, max_cut_limit=0) if config.record_spectra else None
         lam1 = spectral_radius(split) if spectra is None else spectra.lambda1
         dual_cfg = DualControlConfig.from_lambda1(lam1, config.p, config.epsilon, config.T)
-        w, cert = run_dual_with_error_control(net, H, split, dual_cfg, w_warm)
+        w, cert = run_dual_with_error_control(net, H, split, dual_cfg, w_warm, price_out)
         metrics.count_price_solve(net, cert)
-        direction = primal_direction(net, H, g, w)
-        theta, sum_rounds = compute_theta(net, aux, direction.delta, H)
+        direction = primal_direction(net, H, g, w, delta)
+        theta, sum_rounds = compute_theta(net, aux, delta, H, sum_out)
         metrics.summation_rounds += sum_rounds
         if config.tau_noise:
             theta = max(0.0, theta + config.tau_noise * math.cos(float(k)))
         d, damped_next = stepsize_rule(theta, damped, config.V, config.b)
         phase = "damped" if (damped and damped_next) else "quadratic"
+        f, h = barrier_objective(x, S, mu, scale, value)
         rec = TraceRecord(
             k=k,
-            f=eval_f(problem, x),
-            h=eval_h(net, x),
+            f=f,
+            h=h,
             lambda_tilde=direction.decrement,
             theta=theta,
             stepsize=d,
@@ -221,7 +235,7 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
             dual_iters=cert.dual_iters,
             consensus_rounds=metrics.consensus_rounds - consensus_start,
             summation_rounds=sum_rounds,
-            min_slack=float(x[S:].min()),
+            min_slack=float(lowest(x[S:])),
             feas_residual=resid,
             certificate=cert,
             x=x.copy() if config.store_iterates else None,
@@ -232,8 +246,8 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
         if not damped and theta <= config.theta_term:
             converged = True
             break
-        x = x + d * direction.delta
-        if not np.all(x > 0):
+        np.add(x, np.multiply(d, delta, step), x)
+        if not lowest(x) > 0:
             raise AssertionError(
                 "iterate lost strict positivity; stepsize window violated"
             )
@@ -243,13 +257,14 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
         if config.dual_warm_start:
             w_warm = w
 
+    f_final, h_final = barrier_objective(x, S, mu, scale, value)
     return SolveResult(
         x=x,
         trace=trace,
         converged=converged,
         metrics=metrics,
-        f_final=eval_f(problem, x),
-        h_final=eval_h(net, x),
+        f_final=f_final,
+        h_final=h_final,
     )
 
 

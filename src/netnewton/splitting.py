@@ -13,7 +13,7 @@ the iteration's convergence rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -22,6 +22,7 @@ from .model import Network
 
 __all__ = [
     "SplittingData",
+    "SplittingBuffers",
     "DualState",
     "SpectralReport",
     "build_splitting",
@@ -45,12 +46,17 @@ class SplittingData:
     bk:   off-diagonal part, symmetric and elementwise nonnegative,
     bbar: row sums of bk,
     rhs:  -A H^-1 grad, the right-hand side of the dual system.
+
+    A split from build_splitting holds its arrays in the SplittingBuffers
+    it was built into, as buffers, and has denom, iteration_matrix and
+    offset computed already.
     """
 
     dk: np.ndarray
     bk: np.ndarray
     bbar: np.ndarray
     rhs: np.ndarray
+    buffers: "SplittingBuffers | None" = field(default=None, repr=False, compare=False)
 
     @cached_property
     def denom(self) -> np.ndarray:
@@ -79,6 +85,30 @@ class SplittingData:
         return self.rhs / self.denom
 
 
+class SplittingBuffers:
+    """The arrays build_splitting writes one network's split into, and
+    spectral_radius its symmetrized matrix. A solve allocates them once
+    and every primal step overwrites them, so a split built into them is
+    valid until the next build."""
+
+    def __init__(self, network: Network):
+        L, n = network.num_links, network.num_sources + network.num_links
+        self.incidence = network.incidence
+        self.incidence_t = self.incidence.T
+        self.hinv = np.empty(n)
+        self.scaled = np.empty((L, n))  # A H^-1, then its negation
+        self.bk, self.m, self.sym, self.sym_sum = (np.empty((L, L)) for _ in range(4))
+        self.diag = np.zeros((L, L))  # diag(bbar)
+        self.dk, self.bbar, self.rhs, self.denom, self.offset, self.row, self.scale = (
+            np.empty(L) for _ in range(7)
+        )
+        self.bk_diag = self.bk.reshape(-1)[:: L + 1]
+        self.diag_entries = self.diag.reshape(-1)[:: L + 1]
+        self.denom_col = self.denom[:, None]
+        self.m_view = self.m.view()  # the split's read-only iteration_matrix
+        self.m_view.setflags(write=False)
+
+
 def _checked_hessian(hessian_diag, grad, n: int, ndim: int = 1):
     """hessian_diag and grad as float arrays of one ndim-axis shape ending
     in n = S + L, after checking that H can be inverted."""
@@ -86,26 +116,42 @@ def _checked_hessian(hessian_diag, grad, n: int, ndim: int = 1):
     g = np.asarray(grad, dtype=float)
     if H.ndim != ndim or H.shape[-1] != n or g.shape != H.shape:
         raise ValueError("hessian_diag and grad must have length S + L")
-    if not np.all((H > 0) & (H < np.inf)):
+    # the extremes, which a NaN turns NaN, decide all((H > 0) & (H < inf))
+    if not (np.minimum.reduce(H, axis=None, initial=np.inf) > 0
+            and np.maximum.reduce(H, axis=None, initial=-np.inf) < np.inf):
         raise ValueError("hessian diagonal must be finite and strictly positive")
     return H, g
 
 
-def build_splitting(network: Network, hessian_diag, grad) -> SplittingData:
+def build_splitting(network: Network, hessian_diag, grad, out=None) -> SplittingData:
+    """The split of the dual system at the point with this Hessian diagonal
+    and gradient. With out (the SplittingBuffers of this network) the split
+    is written into it; otherwise into fresh buffers."""
     H, g = _checked_hessian(hessian_diag, grad, network.num_sources + network.num_links)
-    AD = network.incidence * (1.0 / H)
-    G, rhs = AD @ network.incidence.T, -AD @ g
-    dk = np.diag(G).copy()
-    bk = G - np.diag(dk)
-    bbar = bk.sum(axis=1)
+    b = SplittingBuffers(network) if out is None else out
+    np.divide(1.0, H, b.hinv)
+    np.multiply(b.incidence, b.hinv, b.scaled)
+    b.scaled.dot(b.incidence_t, b.bk)  # A H^-1 A', whose diagonal is dk
+    np.negative(b.scaled, b.scaled)
+    b.scaled.dot(g, b.rhs)
+    np.copyto(b.dk, b.bk_diag)
+    np.subtract(b.bk_diag, b.dk, b.bk_diag)  # G - diag(dk) on the diagonal
+    np.add.reduce(b.bk, axis=1, out=b.bbar)
 
     # D + 2 Bbar - B must be strictly diagonally dominant with a positive
     # diagonal; this is what guarantees the iteration matrix is a contraction.
-    qk_diag = dk + 2.0 * bbar
-    off = bbar  # row sums of |off-diagonal of Q| equal bbar
-    if not np.all(qk_diag > off):
+    # The row sums of |off-diagonal of Q| equal bbar.
+    qk_diag = np.add(b.dk, np.multiply(2.0, b.bbar, b.row), b.row)
+    if not np.logical_and.reduce(qk_diag > b.bbar):
         raise AssertionError("splitting lost strict diagonal dominance")
-    return SplittingData(dk=dk, bk=bk, bbar=bbar, rhs=rhs)
+    np.add(b.dk, b.bbar, b.denom)
+    np.copyto(b.diag_entries, b.bbar)
+    np.divide(np.subtract(b.diag, b.bk, b.m), b.denom_col, b.m)
+    np.divide(b.rhs, b.denom, b.offset)
+    split = SplittingData(dk=b.dk, bk=b.bk, bbar=b.bbar, rhs=b.rhs, buffers=b)
+    # fill the cached properties with the values they would compute
+    vars(split).update(denom=b.denom, iteration_matrix=b.m_view, offset=b.offset)
+    return split
 
 
 def dual_step_matrix(split: SplittingData, w, out=None) -> np.ndarray:
@@ -228,14 +274,22 @@ def spectral_radius(split: SplittingData) -> float:
 
     Computed on the symmetrized similar matrix for numerical stability;
     asserts the contraction property (< 1) that the splitting guarantees.
+    A split from build_splitting symmetrizes into its buffers.
     """
-    scale = np.sqrt(split.denom)
-    sym = split.iteration_matrix * scale[:, None] / scale[None, :]
-    sym = 0.5 * (sym + sym.T)
-    if not np.isfinite(sym).all():
+    L = len(split.denom)
+    b = split.buffers
+    scale, sym, both = (
+        (np.empty(L), np.empty((L, L)), np.empty((L, L))) if b is None
+        else (b.scale, b.sym, b.sym_sum)
+    )
+    np.sqrt(split.denom, scale)
+    np.divide(np.multiply(split.iteration_matrix, scale[:, None], sym), scale, sym)
+    np.multiply(0.5, np.add(sym, sym.T, both), both)
+    if not np.logical_and.reduce(np.isfinite(both), axis=None):
         raise ValueError("iteration matrix has non-finite entries")
-    eigs = np.linalg.eigvalsh(sym)
-    lam1 = float(np.abs(eigs).max())
+    # ascending, so the extremes hold the largest magnitude
+    eigs = np.linalg.eigvalsh(both)
+    lam1 = max(abs(float(eigs[0])), abs(float(eigs[-1])))
     if not lam1 < 1.0 + 1e-12:
         raise AssertionError(f"price iteration is not a contraction: {lam1}")
     return lam1

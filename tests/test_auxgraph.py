@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from netnewton import (
     distributed_sum,
     inexact_decrement,
 )
+from netnewton.auxgraph import AggregationBuffers
 
 from conftest import draw_network, random_positive_state
 
@@ -241,3 +243,24 @@ class TestComputeTheta:
         aux = build_auxiliary_graph(two_flow_network)
         theta, _ = compute_theta(two_flow_network, aux, np.zeros(7), np.ones(7))
         assert theta == 0.0
+
+    def test_buffered_aggregation_matches_the_allocating_form(self):
+        # one set of buffers serves every step of a solve; theta keeps the
+        # bits of the form that allocated its inputs and histories
+        rng = np.random.default_rng(12)
+        for _ in range(15):
+            net = draw_network(rng)
+            aux = build_auxiliary_graph(net)
+            buffers = AggregationBuffers(net, aux)
+            S = net.num_sources
+            for _ in range(3):
+                _, H, _ = random_positive_state(net, rng)
+                delta = rng.normal(size=S + net.num_links)
+                delta[S:] = -(net.routing @ delta[:S])
+                y_star = delta[:S] ** 2 * H[:S]
+                z_star = delta[S:] ** 2 * H[S:] / net.crossing_counts
+                run = distributed_sum(net, aux, y_star, z_star, rounds=aux.diameter + 1)
+                expected = math.sqrt(max(run.y_final[0], 0.0))
+                for out in (buffers, None):
+                    theta, rounds = compute_theta(net, aux, delta, H, out)
+                    assert (repr(theta), rounds) == (repr(expected), aux.diameter + 1)

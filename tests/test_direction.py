@@ -19,6 +19,7 @@ from netnewton import (
     run_dual_with_error_control,
     solve_dual_exact,
 )
+from netnewton.direction import _check_saddle, stacked_kkt_direction
 
 from conftest import draw_network, init_state, random_positive_state
 
@@ -110,6 +111,51 @@ class TestPrimalDirection:
                 assert np.abs(net.incidence @ (step * d.delta)).max() <= 1e-10 * (
                     1.0 + np.abs(d.delta).max()
                 )
+
+    def test_written_into_out_matches_the_allocating_form(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            net = draw_network(rng)
+            _, H, g = random_positive_state(net, rng)
+            w = rng.normal(size=net.num_links) * 10
+            out = np.empty(net.num_sources + net.num_links)
+            d = primal_direction(net, H, g, w, out)
+            fresh = primal_direction(net, H, g, w)
+            S = net.num_sources
+            # the form before out: allocated rate and slack parts, concatenated
+            delta_s = -(g[:S] + net.routing.T @ w) / H[:S]
+            oracle = np.concatenate([delta_s, -(net.routing @ delta_s)])
+            assert d.delta is out
+            assert out.tobytes() == fresh.delta.tobytes() == oracle.tobytes()
+            assert d.decrement == fresh.decrement == float(np.sqrt(np.sum(oracle**2 * H)))
+
+
+class TestSaddleCheck:
+    def test_perturbed_direction_or_prices_raise(self):
+        # a relative 1e-6 error in delta fails the scaled tolerance at the
+        # feasible start of family draws and at capacities near 1e12; one in
+        # w does on the family, where the prices are of the gradient's size
+        # (near 1e12 they are many orders below it)
+        rng = np.random.default_rng(7)
+        for k in range(16):
+            caps = (20.0, 50.0) if k % 2 else (1e12, 2e12)
+            net = random_network(15, 8, 0.5, [7, k], capacity_range=caps)
+            x = feasible_init(net).values
+            prob = BarrierProblem(net)
+            H, g = eval_hessian_diag(prob, x)[None], eval_grad(prob, x)[None]
+            A = net.incidence[None]
+            delta, w = stacked_kkt_direction(A, H, g)
+            price = (A.transpose(0, 2, 1) @ w[..., None])[..., 0]
+            _check_saddle(A, H, g, delta, price)
+            for r in (rng.choice([-1.0, 1.0], delta.shape), rng.uniform(-1.0, 1.0, delta.shape)):
+                with pytest.raises(AssertionError, match="saddle residual"):
+                    _check_saddle(A, H, g, delta * (1.0 + 1e-6 * r), price)
+            if caps[0] > 1e6:
+                continue
+            r = rng.choice([-1.0, 1.0], w.shape)
+            moved = (A.transpose(0, 2, 1) @ (w * (1.0 + 1e-6 * r))[..., None])[..., 0]
+            with pytest.raises(AssertionError, match="saddle residual"):
+                _check_saddle(A, H, g, delta, moved)
 
 
 class TestDecrements:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from netnewton import (
     stage2_h,
     MessageMetrics,
 )
+
+from netnewton.errorcontrol import _change_bound
 
 from conftest import draw_network, init_state
 
@@ -108,6 +112,118 @@ def gradient_solved_at(net, H, w_star):
     A = net.incidence
     G = (A / H) @ A.T
     return -H * (A.T @ np.linalg.solve(A @ A.T, G @ w_star))
+
+
+def stage1_beta_oracle(network, w_t, w_t1, big_pi0, big_pi_t, F, p):
+    """Oracle for stage1_beta: the masked form it had before it took the
+    unmasked quotients whenever no aggregate vanishes."""
+    diff = float(np.abs(w_t1 - w_t).max())
+    if diff == 0.0:
+        return math.inf
+    amp = math.sqrt(network.num_links) * diff / (1.0 - F)
+    num_link = network.routing @ big_pi0
+    den_src = np.abs(big_pi_t)
+    den_link = np.abs(network.routing @ big_pi_t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho_src = np.where(den_src < 1e-14, np.inf, amp * big_pi0 / den_src)
+        rho_link = np.where(den_link < 1e-14, np.inf, amp * num_link / den_link)
+    worst = max(float(rho_src.max()), float(rho_link.max()))
+    if worst == 0.0:
+        return math.inf
+    return (worst / p) ** -2
+
+
+def stage2_h_oracle(network, hessian_diag, big_pi0, pi0, beta, epsilon, F):
+    """Oracle for stage2_h: the smallest quotient, taken per entry as it
+    was before stage2_h divided once by the largest denominator."""
+    S, L = network.num_sources, network.num_links
+    c = math.sqrt(epsilon / ((1.0 - beta) * (L + S) * L)) * (1.0 - F)
+    h_src = c / (pi0 * hessian_diag[:S] ** -0.5)
+    h_link = c / (np.sqrt(hessian_diag[S:]) * (network.routing @ big_pi0))
+    return float(min(h_src.min(), h_link.min()))
+
+
+class TestStageFormulas:
+    def test_stage_tests_match_their_oracles_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        vanished = nan = 0
+        for k in range(300):
+            net = draw_network(rng)
+            S, L = net.num_sources, net.num_links
+            H = 10.0 ** rng.uniform(-8, 8, S + L)
+            pi0 = net.routing.T @ np.ones(L)
+            big_pi0 = pi0 / H[:S]
+            w_t = rng.normal(size=L) * 10.0 ** rng.uniform(-6, 6)
+            if k % 4 == 0:
+                # cancel source 0's route price, so its aggregate vanishes
+                route = net.routes[0]
+                w_t[route[-1]] = -(w_t[list(route[:-1])].sum())
+            w_t1 = w_t + rng.normal(size=L) * 10.0 ** rng.uniform(-12, 0) * (k % 7 != 0)
+            if k % 9 == 1:
+                # non-finite prices: a NaN, an inf, or infs of both signs
+                w_t[rng.integers(L, size=1 + k % 2)] = [np.nan, np.inf, -np.inf][k % 3:][:1 + k % 2]
+            with np.errstate(invalid="ignore"):
+                big_pi_t = (net.routing.T @ w_t) / H[:S]
+            vanished += bool(np.abs(big_pi_t).min() < 1e-14)
+            F, p = rng.uniform(0.01, 0.99), 10.0 ** rng.uniform(-4, -1)
+            with np.errstate(invalid="ignore", over="ignore"):
+                beta = stage1_beta(net, w_t, w_t1, big_pi0, big_pi_t, F, p)
+                expected = stage1_beta_oracle(net, w_t, w_t1, big_pi0, big_pi_t, F, p)
+            assert repr(beta) == repr(expected)
+            nan += math.isnan(beta)
+            beta = 0.0 if k % 5 == 0 else rng.uniform(0.0, 1.0)
+            eps = 10.0 ** rng.uniform(-12, 0)
+            h = stage2_h(net, H, big_pi0, pi0, beta, eps, F)
+            assert repr(h) == repr(stage2_h_oracle(net, H, big_pi0, pi0, beta, eps, F))
+        assert vanished >= 50 and nan >= 20
+
+    def test_change_bound_never_skips_a_passing_change(self):
+        # a change whose sup norm is at most h never exceeds the bound, over
+        # the whole float range, subnormal and overflowing squares included
+        rng = np.random.default_rng(22)
+        for exponent in [*range(-330, 308, 9), -323, -162, -161, 153, 154, 307]:
+            for L in (1, 2, 15, 60, 240):
+                for d in (rng.uniform(-1.0, 1.0, L), rng.choice([-1.0, 1.0], L)):
+                    d = d * 10.0**exponent
+                    h = float(np.abs(d).max())
+                    with np.errstate(over="ignore"):
+                        assert not d.dot(d) > _change_bound(L, h), (exponent, L)
+        assert not np.zeros(3).dot(np.zeros(3)) > _change_bound(3, 0.0)
+
+    def test_change_bound_skips_changes_far_above_the_threshold(self):
+        for L, h in ((1, 1e-3), (15, 1e-8), (60, 1.0)):
+            d = np.full(L, 2.0 * h)
+            assert d.dot(d) > _change_bound(L, h)
+
+    def test_caps_inside_stage_2_match_the_allocating_loop(self, two_flow_network):
+        # stops on the last sweep a cap allows, and caps reached before it,
+        # on draws whose stage 2 runs many sweeps
+        rng = np.random.default_rng(23)
+        draws = [(two_flow_network, H, g)
+                 for H, g in tightened_threshold_draws(two_flow_network, 3)]
+        for _ in range(4):
+            net = draw_network(rng)
+            draws.append((net, *init_state(net)[1:]))
+        long_stage_2 = 0
+        for net, H, g in draws:
+            split = build_splitting(net, H, g)
+            cfg = DualControlConfig.from_lambda1(
+                spectral_radius(split), p=1e-3, epsilon=1e-9, T=1
+            )
+            _, cert = run_dual_with_error_control(net, H, split, cfg)
+            long_stage_2 += cert.dual_iters > cfg.T + 8
+            for cap in (cert.dual_iters, cert.dual_iters + 1):
+                capped = DualControlConfig(T=cfg.T, p=cfg.p, epsilon=cfg.epsilon, F=cfg.F,
+                                           iter_cap=cap)
+                assert assert_matches_reference(net, H, split, capped)[1] == cert
+            for cap in range(cfg.T + 1, cert.dual_iters, max(1, cert.dual_iters // 7)):
+                capped = DualControlConfig(T=cfg.T, p=cfg.p, epsilon=cfg.epsilon, F=cfg.F,
+                                           iter_cap=cap)
+                with pytest.raises(RuntimeError, match="cap"):
+                    run_dual_with_error_control(net, H, split, capped)
+                with pytest.raises(RuntimeError, match="cap"):
+                    reference_run_dual(net, H, split, capped)
+        assert long_stage_2 >= 4
 
 
 class TestStage1:

@@ -331,23 +331,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
 
-    @pytest.mark.parametrize("capacity_range, code, message", [
-        # the reference optimum's saddle residual check fails
-        ([1e12, 2e12], 1, "saddle residual too large"),
+    @pytest.mark.parametrize("capacity_range, code, message, injected", [
+        # a failing saddle residual check of the reference optimum, injected
+        ([1e12, 2e12], 1, "saddle residual too large", True),
         # the Hessian at the feasible start overflows to inf
-        ([1e-150, 2e-150], 2, "finite and strictly positive"),
-        ([1e-300, 2e-300], 2, "finite and strictly positive"),
+        ([1e-150, 2e-150], 2, "finite and strictly positive", False),
+        ([1e-300, 2e-300], 2, "finite and strictly positive", False),
     ], ids=["huge", "tiny", "tinier"])
-    def test_compare_reference_failure_reported(self, tmp_path, capsys, capacity_range,
-                                                code, message):
+    def test_compare_reference_failure_reported(self, tmp_path, capsys, monkeypatch,
+                                                capacity_range, code, message, injected):
         # the stacked reference solve runs before any row, so its failure
         # stops the study with one line on stderr, never a traceback
+        if injected:
+            def failing(*args):
+                raise AssertionError(message)
+
+            monkeypatch.setattr(netnewton.solver, "stacked_kkt_direction", failing)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"trials": 2, "capacity_range": capacity_range,
                                     "methods": ["newton"]}))
         assert main(["compare", str(spec)]) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+
+    def test_compare_huge_capacities_completes(self, tmp_path, capsys):
+        # the saddle residual tolerance scales with the terms, so rounding
+        # at capacities near 1e12 no longer stops the study
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"trials": 2, "capacity_range": [1e12, 2e12],
+                                    "methods": ["newton"]}))
+        assert main(["compare", str(spec)]) == 0
+        rows = json.loads(capsys.readouterr().out)["trials"]
+        assert [row["error"] for row in rows] == [None, None]
+        assert all(0 <= row["rel_error"] <= 0.01 for row in rows)
 
     def test_parser_defaults_have_one_owner(self):
         parser = build_parser()

@@ -20,7 +20,14 @@ from netnewton import (
     save_network,
 )
 from netnewton import build_auxiliary_graph
-from netnewton.model import _graph_diameter, utility_terms
+from netnewton.model import (
+    _graph_diameter,
+    barrier_grad,
+    barrier_hessian_diag,
+    barrier_objective,
+    utility_method,
+    utility_terms,
+)
 
 from conftest import TWO_FLOW_ROUTING, draw_network
 
@@ -264,6 +271,30 @@ class TestEvaluation:
             for _ in range(2):
                 assert np.array_equal(u.d2(s), -u.weight / s**2)
 
+    def test_evaluations_keep_their_allocating_bits(self, mixed_network):
+        # the gradient and Hessian written into buffers, and f and h from
+        # one utility evaluation, keep the bits of the forms before them
+        rng = np.random.default_rng(9)
+        net = mixed_network
+        S = net.num_sources
+        d1, d2, value = (utility_method(net, m) for m in ("d1", "d2", "value"))
+        g_out, H_out = np.empty(S + net.num_links), np.empty(S + net.num_links)
+        for mu, scale in [(1.0, 1.0), (3.0, 1.0), (1.0, 37.5)] * 10:
+            x = rng.uniform(0.1, 3.0, S + net.num_links)
+            g = -mu / x
+            g[:S] -= scale * utility_terms(net, "d1", x[:S])
+            H = mu / x**2
+            H[:S] -= scale * utility_terms(net, "d2", x[:S])
+            util = float(utility_terms(net, "value", x[:S]).sum())
+            f = -scale * util - mu * float(np.sum(np.log(x)))
+            assert barrier_grad(x, S, mu, scale, d1, g_out) is g_out
+            assert barrier_hessian_diag(x, S, mu, scale, d2, H_out) is H_out
+            assert g_out.tobytes() == g.tobytes() == barrier_grad(x, S, mu, scale, d1).tobytes()
+            assert H_out.tobytes() == H.tobytes()
+            assert barrier_objective(x, S, mu, scale, value) == (f, -util)
+            prob = BarrierProblem(net, mu, scale)
+            assert (repr(eval_f(prob, x)), repr(eval_h(net, x))) == (repr(f), repr(-util))
+
     def test_eval_h_equals_unbarriered_objective(self):
         rng = np.random.default_rng(3)
         net = draw_network(rng)
@@ -271,6 +302,63 @@ class TestEvaluation:
         prob = BarrierProblem(net, mu=0.0)
         assert eval_h(net, x) == pytest.approx(eval_f(prob, x), rel=1e-12)
 
+
+def check_utility_oracle(u, s_max, index):
+    """Oracle for build_network's utility checks: the per-utility check it
+    ran for each utility in turn before it checked each family once."""
+    grid = np.logspace(-6, 6, 121)
+    d2 = np.asarray(u.d2(grid), dtype=float)
+    if not np.all(d2 < 0):
+        raise InvalidNetworkError(f"utility {index} is not strictly concave")
+    d3 = np.abs(np.asarray(u.d3(grid), dtype=float))
+    if not np.all(d3 <= 2.0 * (-d2) ** 1.5 * (1.0 + 1e-9)):
+        raise InvalidNetworkError(f"utility {index} fails the self-concordance check")
+    lo = grid[grid <= s_max]
+    probe = np.append(lo, s_max)
+    if not np.all(np.asarray(u.d1(probe), dtype=float) >= -1e-12):
+        raise InvalidNetworkError(
+            f"utility {index} is decreasing below the maximum capacity {s_max}"
+        )
+
+
+def draw_utility(rng, s_max):
+    """A log or quadratic utility; half of them fail one of the checks."""
+    slope = float(rng.uniform(0.5, 2.0))
+    kind = rng.integers(8)
+    if kind < 3:
+        return LogUtility(float(rng.uniform(1.0, 20.0)))
+    if kind < 5:  # break point above the capacities
+        return QuadraticUtility(slope, slope / (s_max * rng.uniform(1.01, 3.0)))
+    return [
+        LogUtility(float(rng.uniform(0.01, 0.999))),  # fails self-concordance
+        LogUtility(float(-rng.uniform(0.5, 5.0))),  # not concave
+        QuadraticUtility(slope, slope / (s_max * rng.uniform(0.1, 0.99))),  # decreasing
+    ][kind - 5]
+
+
+def test_utility_checks_match_the_per_utility_oracle():
+    # the first failing utility and its first failing check name the error
+    rng = np.random.default_rng(41)
+    outcomes = set()
+    for _ in range(300):
+        S = int(rng.integers(1, 7))
+        caps = [float(10.0 ** rng.uniform(-2, 3))]
+        utilities = [draw_utility(rng, caps[0]) for _ in range(S)]
+        try:
+            for i, u in enumerate(utilities):
+                check_utility_oracle(u, caps[0], i)
+            expected = None
+        except InvalidNetworkError as exc:
+            expected = str(exc)
+        try:
+            build_network(np.ones((1, S)), caps, utilities)
+            got = None
+        except InvalidNetworkError as exc:
+            got = str(exc)
+        assert got == expected
+        outcomes.add(got and got.split(maxsplit=2)[2][:12])
+    # accepted, and each check failed
+    assert outcomes == {None, "is not stric", "fails the se", "is decreasin"}
 
 class TestPrimalVector:
     def test_checked_rejects_nonpositive(self, two_flow_network):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -27,7 +28,20 @@ from netnewton import (
     stepsize_rule,
     two_pass_solve,
 )
-from netnewton.solver import _default_b, _quad_constants, trace_to_json, write_trace_csv
+from netnewton.auxgraph import build_auxiliary_graph, compute_theta
+from netnewton.direction import primal_direction
+from netnewton.errorcontrol import DualControlConfig, run_dual_with_error_control
+from netnewton.metrics import MessageMetrics
+from netnewton.model import FEASIBILITY_RTOL, feasibility_residual
+from netnewton.solver import (
+    SolveResult,
+    TraceRecord,
+    _default_b,
+    _quad_constants,
+    trace_to_json,
+    write_trace_csv,
+)
+from netnewton.splitting import build_splitting, spectral_diagnostics
 
 from conftest import draw_network
 from test_direction import kkt_direction_oracle
@@ -245,6 +259,108 @@ def newton_calls(monkeypatch):
 
     monkeypatch.setattr(netnewton.solver, "newton_solve", counted)
     return calls
+
+
+def newton_solve_oracle(problem, config):
+    """Test oracle for newton_solve: the loop as it was before the per-solve
+    binding. Every step evaluates through the public eval_* functions and
+    runs each layer without buffers, so each allocates its own arrays."""
+    net = problem.network
+    S = net.num_sources
+    aux = build_auxiliary_graph(net)
+    metrics = MessageMetrics()
+    metrics.aux_construction_rounds = aux.rounds
+    x = feasible_init(net).values.copy()
+    resid = feasibility_residual(net, x)
+    w_warm = np.ones(net.num_links)
+    damped = True
+    trace = []
+    converged = False
+    for k in range(config.max_primal_iters):
+        consensus_start = metrics.consensus_rounds
+        g = eval_grad(problem, x)
+        H = eval_hessian_diag(problem, x)
+        split = build_splitting(net, H, g)
+        spectra = spectral_diagnostics(split, max_cut_limit=0) if config.record_spectra else None
+        lam1 = spectral_radius(split) if spectra is None else spectra.lambda1
+        dual_cfg = DualControlConfig.from_lambda1(lam1, config.p, config.epsilon, config.T)
+        w, cert = run_dual_with_error_control(net, H, split, dual_cfg, w_warm)
+        metrics.count_price_solve(net, cert)
+        direction = primal_direction(net, H, g, w)
+        theta, sum_rounds = compute_theta(net, aux, direction.delta, H)
+        metrics.summation_rounds += sum_rounds
+        if config.tau_noise:
+            theta = max(0.0, theta + config.tau_noise * math.cos(float(k)))
+        d, damped_next = stepsize_rule(theta, damped, config.V, config.b)
+        phase = "damped" if (damped and damped_next) else "quadratic"
+        trace.append(TraceRecord(
+            k=k, f=eval_f(problem, x), h=eval_h(net, x), lambda_tilde=direction.decrement,
+            theta=theta, stepsize=d, phase=phase, dual_iters=cert.dual_iters,
+            consensus_rounds=metrics.consensus_rounds - consensus_start,
+            summation_rounds=sum_rounds, min_slack=float(x[S:].min()), feas_residual=resid,
+            certificate=cert, x=x.copy() if config.store_iterates else None,
+            dual_graph=None if spectra is None else spectra.to_dict(),
+        ))
+        damped = damped_next
+        if not damped and theta <= config.theta_term:
+            converged = True
+            break
+        x = x + d * direction.delta
+        if not np.all(x > 0):
+            raise AssertionError("iterate lost strict positivity; stepsize window violated")
+        resid = feasibility_residual(net, x)
+        if resid > FEASIBILITY_RTOL:
+            raise AssertionError(f"flow conservation drifted: residual {resid:.3e}")
+        if config.dual_warm_start:
+            w_warm = w
+    return SolveResult(x=x, trace=trace, converged=converged, metrics=metrics,
+                       f_final=eval_f(problem, x), h_final=eval_h(net, x))
+
+
+def bits(value):
+    """A value's exact bits: an array's dtype, shape and bytes, else its
+    repr (exact for floats, and for the certificate's and spectra's)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return repr(value)
+
+
+def assert_matches_newton_oracle(problem, config):
+    res = newton_solve(problem, config)
+    ref = newton_solve_oracle(problem, config)
+    assert bits(res.x) == bits(ref.x)
+    assert res.metrics == ref.metrics
+    assert (res.converged, bits(res.f_final), bits(res.h_final)) == (
+        ref.converged, bits(ref.f_final), bits(ref.h_final))
+    assert len(res.trace) == len(ref.trace)
+    for rec, rec_ref in zip(res.trace, ref.trace):
+        for field in dataclasses.fields(TraceRecord):
+            assert bits(getattr(rec, field.name)) == bits(getattr(rec_ref, field.name)), (
+                rec.k, field.name)
+    return res
+
+
+class TestNewtonOracle:
+    def test_study_networks_match_bit_for_bit(self):
+        config = SolverConfig(store_iterates=False)
+        for trial in range(50):
+            assert_matches_newton_oracle(BarrierProblem(study_network(trial)), config)
+
+    @pytest.mark.parametrize("config", [
+        SolverConfig(mu=2.0),
+        SolverConfig(store_iterates=True, record_spectra=True, tau_noise=0.01),
+        SolverConfig(dual_warm_start=False),
+        SolverConfig(T=5),
+    ], ids=["mu2", "iterates-spectra-noise", "cold-prices", "given-T"])
+    def test_configs_match_bit_for_bit(self, config, mixed_network):
+        for net in (mixed_network, study_network(0), study_network(1)):
+            assert_matches_newton_oracle(BarrierProblem(net, config.mu), config)
+
+    def test_rescaled_utility_matches_bit_for_bit(self):
+        # a two-pass solve's pass 2 runs on a rescaled utility
+        for scale in (3.0, 1e3):
+            assert_matches_newton_oracle(BarrierProblem(study_network(2), 1.0, scale),
+                                         SolverConfig())
 
 
 class TestTwoPass:

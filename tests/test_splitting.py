@@ -17,7 +17,7 @@ from netnewton import (
     weighted_max_cut,
     LogUtility,
 )
-from netnewton.splitting import DualState
+from netnewton.splitting import DualState, SplittingBuffers
 
 from conftest import draw_network, example_state, init_state, random_positive_state
 
@@ -52,6 +52,62 @@ class TestBuildSplitting:
     def test_dimension_mismatch_rejected(self, tiny_network):
         with pytest.raises(ValueError):
             build_splitting(tiny_network, np.ones(3), np.zeros(3))
+
+
+def build_splitting_oracle(network, H, g):
+    """Oracle for build_splitting: the allocating form it had before it
+    wrote into SplittingBuffers. Returns dk, bk, bbar, rhs, denom, the
+    iteration matrix and the offset."""
+    AD = network.incidence * (1.0 / H)
+    G, rhs = AD @ network.incidence.T, -AD @ g
+    dk = np.diag(G).copy()
+    bk = G - np.diag(dk)
+    bbar = bk.sum(axis=1)
+    denom = dk + bbar
+    return dk, bk, bbar, rhs, denom, (np.diag(bbar) - bk) / denom[:, None], rhs / denom
+
+
+def spectral_radius_oracle(denom, iteration_matrix):
+    """Oracle for spectral_radius: its allocating form."""
+    scale = np.sqrt(denom)
+    sym = iteration_matrix * scale[:, None] / scale[None, :]
+    sym = 0.5 * (sym + sym.T)
+    return float(np.abs(np.linalg.eigvalsh(sym)).max())
+
+
+class TestSplittingBuffers:
+    def test_buffered_splits_match_the_allocating_form(self):
+        # one set of buffers serves every draw on a network, as in a solve
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            net = draw_network(rng)
+            buffers = SplittingBuffers(net)
+            for _ in range(4):
+                _, H, g = random_positive_state(net, rng)
+                H = H * 10.0 ** rng.uniform(-6, 6, len(H))
+                for split in (build_splitting(net, H, g, buffers), build_splitting(net, H, g)):
+                    expected = build_splitting_oracle(net, H, g)
+                    got = (split.dk, split.bk, split.bbar, split.rhs, split.denom,
+                           split.iteration_matrix, split.offset)
+                    for a, b in zip(got, expected):
+                        assert a.tobytes() == b.tobytes()
+                    assert not split.iteration_matrix.flags.writeable
+                    assert repr(spectral_radius(split)) == repr(
+                        spectral_radius_oracle(expected[4], expected[5]))
+
+    def test_a_split_built_into_buffers_uses_them(self):
+        rng = np.random.default_rng(32)
+        net = draw_network(rng)
+        buffers = SplittingBuffers(net)
+        _, H, g = random_positive_state(net, rng)
+        split = build_splitting(net, H, g, buffers)
+        assert split.buffers is buffers and split.bk is buffers.bk
+        assert np.shares_memory(split.iteration_matrix, buffers.m)
+        # a later build overwrites it; a split built without buffers is its own
+        fresh = build_splitting(net, H, g)
+        build_splitting(net, 2.0 * H, g, buffers)
+        assert not np.array_equal(split.dk, fresh.dk)
+        assert not np.shares_memory(fresh.bk, buffers.bk)
 
 
 class TestDualIteration:

@@ -79,6 +79,42 @@ def test_one_function_calls_the_dense_solve():
     assert callers == ["direction.py:stacked_kkt_direction"]
 
 
+def test_one_function_calls_the_eigensolve():
+    # each primal step takes its contraction factor from one eigensolve, in
+    # spectral_radius, which the spectral report shares
+    package = Path(netnewton.__file__).resolve().parent
+    callers = [
+        f"{path.name}:{func.name}"
+        for path in sorted(package.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.eigvalsh"
+    ]
+    assert callers == ["splitting.py:spectral_radius"]
+
+
+def test_tracer_sees_every_newton_phase():
+    # the layer tracer of benchmarks/run.py --trace wraps module attributes,
+    # so each phase of a primal step must be called through one: once per
+    # step, and the price sweep once per counted sweep
+    tracer = load_bench_trace().Tracer()
+    net = netnewton.random_network(15, 8, 0.5, [7, 3])
+    tracer.install()
+    try:
+        res = netnewton.newton_solve(netnewton.BarrierProblem(net), netnewton.SolverConfig())
+    finally:
+        tracer.uninstall()
+    calls = {layer: t["calls"] for layer, t in tracer.layer_times().items()}
+    steps = res.primal_iters
+    for layer in ("splitting.build_splitting", "splitting.spectral_radius",
+                  "errorcontrol.run_dual", "direction.primal_direction",
+                  "auxgraph.compute_theta", "auxgraph.distributed_sum"):
+        assert calls[layer] == steps, layer
+    assert calls["splitting.dual_step_matrix"] == res.total_dual_iters
+    assert calls["solver.newton_solve"] == 1
+
+
 def test_invariant_checks_hold_under_optimize():
     # a price iteration that is no contraction, and a squared decrement
     # that comes out negative, still raise in an interpreter run with -O
