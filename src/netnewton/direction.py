@@ -95,7 +95,7 @@ def _check_saddle(A, H, g, delta, price) -> None:
         raise AssertionError("saddle residual too large")
 
 
-def primal_direction(network: Network, hessian_diag, grad, w, out=None) -> NewtonDirection:
+def primal_direction(network: Network, hessian_diag, grad, w) -> NewtonDirection:
     """Two-stage direction for an arbitrary price vector w.
 
     Rates:  delta_s[i] = -(grad_i + route price of i) / H_ii
@@ -103,17 +103,15 @@ def primal_direction(network: Network, hessian_diag, grad, w, out=None) -> Newto
 
     The slack stage zeroes A @ delta identically, so every stepsize keeps
     the iterate on the flow-conservation manifold regardless of how far w
-    is from the exact prices. With out (a float vector of length S + L)
-    delta is written into it.
+    is from the exact prices.
     """
     H = np.asarray(hessian_diag, dtype=float)
     g = np.asarray(grad, dtype=float)
     S = network.num_sources
-    delta = np.empty(H.shape) if out is None else out
-    delta_s, delta_y = delta[:S], delta[S:]
-    network.routing.T.dot(np.asarray(w, dtype=float), delta_s)  # route prices
-    np.divide(np.negative(np.add(g[:S], delta_s, delta_s), delta_s), H[:S], delta_s)
-    np.negative(network.routing.dot(delta_s, delta_y), delta_y)
+    pi = network.routing.T @ np.asarray(w, dtype=float)
+    delta_s = -(g[:S] + pi) / H[:S]
+    delta_y = -(network.routing @ delta_s)
+    delta = np.concatenate([delta_s, delta_y])
     return NewtonDirection(delta=delta, decrement=inexact_decrement(delta, H))
 
 

@@ -15,9 +15,7 @@ and tests every stage-2 sweep before it runs the next. Sweeping ahead in
 blocks, as the first-order loop does with its 256-row blocks, would make
 the test cheaper per sweep, but would execute sweeps past the accepted
 one that the certificate, the message charge and the traced sweep count
-never see. Instead the sum of squares of a change, one BLAS product,
-rules out a sweep whose sup-norm change certainly exceeds the threshold,
-and only the remaining sweeps take the exact test.
+never see.
 """
 
 from __future__ import annotations
@@ -106,6 +104,15 @@ class DualControlConfig:
         return cls(T=T, p=p, epsilon=epsilon, F=F)
 
 
+def _largest(v):
+    """The largest entry of a nonempty vector, NaN if any entry is NaN: the
+    value of np.maximum.reduce(v) at a third of its call overhead on the
+    short vectors of a price solve. Of zeros of both signs it returns the
+    first; every caller takes it of absolute values, compares it with
+    zero, or takes it of positive entries, where the sign cannot show."""
+    return v[v.argmax()]
+
+
 def stage1_beta(network, w_t, w_t1, big_pi0, big_pi_t, F, p) -> float:
     """Certified squared relative-error margin for the prices w_t.
 
@@ -115,34 +122,24 @@ def stage1_beta(network, w_t, w_t1, big_pi0, big_pi_t, F, p) -> float:
     A vanished denominator means the route price carries no information,
     so the ratio is treated as infinite (forcing more sweeps). Returns
     beta = (max rho / p)^-2, infinite when the prices did not move. The
-    prices and aggregates are float arrays.
+    prices and aggregates are float arrays; each aggregate holds the S
+    per-source values, optionally followed by their L link sums (routing
+    @ it), which are then not recomputed.
     """
-    diff = float(np.abs(w_t1 - w_t).max())
-    R = network.routing
-    num = np.concatenate([big_pi0, R @ big_pi0])
-    return _beta(diff, network.num_links, F, p, num, np.concatenate([big_pi_t, R @ big_pi_t]),
-                 network.num_sources)
-
-
-def _beta(diff, num_links, F, p, num, agg, S) -> float:
-    """stage1_beta from the price change, where num holds Pi0 and its link
-    sums, and agg holds Pi_t and its link sums, the S sources first."""
+    diff = float(_largest(np.abs(w_t1 - w_t)))
     if diff == 0.0:
         return math.inf
-    amp = math.sqrt(num_links) * diff / (1.0 - F)
-    den = np.absolute(agg)
-    if np.minimum.reduce(den) >= _TINY_PRICE:
-        rho = np.divide(np.multiply(amp, num), den)
-        worst = float(np.maximum.reduce(rho))
-    else:  # a vanished (or NaN) aggregate is masked
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho = np.where(den < _TINY_PRICE, np.inf, amp * num / den)
-        worst = math.nan
-    if worst != worst:
-        # the masked form, or a NaN ratio: the larger of the source and the
-        # link maximum, in that order, which keeps the source maximum when
-        # only a link ratio is NaN
-        worst = max(float(np.maximum.reduce(rho[:S])), float(np.maximum.reduce(rho[S:])))
+    S = network.num_sources
+    num, agg = (
+        v if len(v) > S else np.concatenate([v, network.routing @ v])
+        for v in (big_pi0, big_pi_t)
+    )
+    amp = math.sqrt(network.num_links) * diff / (1.0 - F)
+    den = np.abs(agg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.where(den < _TINY_PRICE, np.inf, amp * num / den)
+    # the source maximum first, which a NaN link ratio leaves standing
+    worst = max(float(_largest(rho[:S])), float(_largest(rho[S:])))
     if worst == 0.0:
         return math.inf
     return (worst / p) ** -2
@@ -164,8 +161,8 @@ def stage2_h(network, hessian_diag, big_pi0, pi0, beta, epsilon, F) -> float:
     c = math.sqrt(epsilon / ((1.0 - beta) * (L + S) * L)) * (1.0 - F)
     # The denominators are positive and c >= 0, and rounded division is
     # monotone, so the smallest c / a is c over the largest a, bit for bit.
-    src = np.maximum.reduce(pi0 * hessian_diag[:S] ** -0.5)
-    link = np.maximum.reduce(np.sqrt(hessian_diag[S:]) * (network.routing @ big_pi0))
+    src = _largest(pi0 * hessian_diag[:S] ** -0.5)
+    link = _largest(np.sqrt(hessian_diag[S:]) * (network.routing @ big_pi0))
     return c / max(float(src), float(link))
 
 
@@ -200,19 +197,6 @@ def max_consensus(values, neighbors, rounds: int | None = None):
     if rounds is None and not np.all(v == v.max()):
         raise ValueError("max consensus did not reach agreement; graph disconnected?")
     return v, used
-
-
-def _change_bound(num_links: int, h: float) -> float:
-    """A bound that the computed sum of squares of a change of num_links
-    prices can exceed only when the change's sup norm exceeds h.
-
-    The sup norm at most h caps the sum at L h^2. The factor 2 covers the
-    rounding of both sides, and the 1e-300 the squares that underflow; an
-    h whose square overflows gives an infinite bound, which nothing
-    exceeds. So a sweep whose change exceeds the bound would fail the exact
-    test, and skipping that test changes nothing.
-    """
-    return 2.0 * num_links * h * h + 1e-300
 
 
 class PriceBuffers:
@@ -270,18 +254,15 @@ def run_dual_with_error_control(
     big_pi0, big_pi = num[:S], agg[:S]
     R.dot(np.divide(b.pi0, H_src, big_pi0), num[S:])
 
-    def retest(w_prev, diff):
-        if diff != 0.0:
-            R.dot(np.divide(R_t.dot(w_prev, big_pi), H_src, big_pi), agg[S:])
-        return _beta(diff, L, cfg.F, cfg.p, num, agg, S)
+    def retest(w_prev, w_cur):
+        R.dot(np.divide(R_t.dot(w_prev, big_pi), H_src, big_pi), agg[S:])
+        return stage1_beta(network, w_prev, w_cur, num, agg, cfg.F, cfg.p)
 
     # Each sweep writes into the buffer holding the iterate before w_prev,
     # and `change` takes the stage-2 test.
     w_prev, w_cur = b.prices
     change = b.change
-    subtract, absolute, peak, sum_of_squares = (
-        np.subtract, np.absolute, np.maximum.reduce, b.change.dot
-    )
+    subtract, absolute = np.subtract, np.absolute
     if warm_start_w is None:
         w_prev.fill(1.0)
     else:
@@ -290,26 +271,21 @@ def run_dual_with_error_control(
     for _ in range(cfg.T - 1):
         w_prev, w_cur = w_cur, dual_step_matrix(split, w_cur, w_prev)
     steps = cfg.T
-    beta = retest(w_prev, float(peak(absolute(subtract(w_cur, w_prev, change), change))))
+    beta = retest(w_prev, w_cur)
     passes = 2  # the price change and beta
     h = None
     while not beta >= 1.0:  # a NaN beta goes on to stage2_h, which rejects it
         h = stage2_h(network, H, big_pi0, b.pi0, beta, cfg.epsilon, cfg.F)
-        bound = _change_bound(L, h)
         for steps in range(steps + 1, cfg.iter_cap + 1):
             w_prev, w_cur = w_cur, dual_step_matrix(split, w_cur, w_prev)
-            subtract(w_cur, w_prev, change)
-            if sum_of_squares(change) > bound:  # the exact test would fail
-                continue
-            diff = float(peak(absolute(change, change)))
-            if diff <= h:
+            if _largest(absolute(subtract(w_cur, w_prev, change), change)) <= h:
                 break
         else:
             raise RuntimeError(
                 "price iteration exceeded the cap; F may underestimate the "
                 "contraction factor"
             )
-        beta_final = retest(w_prev, diff)
+        beta_final = retest(w_prev, w_cur)
         passes += 2  # agreeing on h, and the retest
         if beta <= beta_final < 1.0:
             # both certified bounds hold at w_prev with the tighter beta

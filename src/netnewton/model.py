@@ -491,29 +491,21 @@ def barrier_objective(x, num_sources: int, mu: float, scale: float, value) -> tu
     return -scale * util - mu * float(np.add.reduce(np.log(x))), -util
 
 
-def barrier_grad(x, num_sources: int, mu: float, scale: float, d1, out=None) -> np.ndarray:
+def barrier_grad(x, num_sources: int, mu: float, scale: float, d1) -> np.ndarray:
     """Gradient of f at x, given the bound utility derivative d1 (see
-    utility_method), written into out when given. The last axis of x is
-    (rates, slacks); leading axes stack several points."""
-    g = np.divide(-mu, x, out)
-    g[..., :num_sources] -= _scaled(scale, d1(x[..., :num_sources]))
+    utility_method). The last axis of x is (rates, slacks); leading axes
+    stack several points."""
+    g = -mu / x
+    g[..., :num_sources] -= scale * d1(x[..., :num_sources])
     return g
 
 
-def _scaled(scale: float, terms):
-    """scale * terms, skipping the product by 1, which is exact."""
-    return terms if scale == 1.0 else scale * terms
-
-
-def barrier_hessian_diag(x, num_sources: int, mu: float, scale: float, d2,
-                         out=None) -> np.ndarray:
-    """Hessian diagonal of f at x, laid out as in barrier_grad, written
-    into out when given."""
+def barrier_hessian_diag(x, num_sources: int, mu: float, scale: float, d2) -> np.ndarray:
+    """Hessian diagonal of f at x, laid out as in barrier_grad."""
     # an entry that overflows comes back as inf, which build_splitting rejects
     with np.errstate(divide="ignore", over="ignore"):
-        h = np.square(x, out)
-        np.divide(mu, h, h)
-        h[..., :num_sources] -= _scaled(scale, d2(x[..., :num_sources]))
+        h = mu / x**2
+        h[..., :num_sources] -= scale * d2(x[..., :num_sources])
     return h
 
 

@@ -191,15 +191,12 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
     metrics.aux_construction_rounds = aux.rounds
     x = feasible_init(net).values.copy()
     resid = feasibility_residual(net, x)
-    # Bound once per solve: the utility methods, and the arrays that every
-    # step overwrites, with the operands that depend on the network alone.
-    # x is updated in place.
+    # Bound once per solve: the utility methods, and the buffers that every
+    # step's split, price solve and aggregation overwrite.
     mu, scale = problem.mu, problem.scale
     value, d1, d2 = (utility_method(net, m) for m in ("value", "d1", "d2"))
-    g, H, delta, step = (np.empty_like(x) for _ in range(4))
     split_out, price_out = SplittingBuffers(net), PriceBuffers(net)
     sum_out = AggregationBuffers(net, aux)
-    lowest = np.minimum.reduce
     w_warm = np.ones(net.num_links)
     damped = True
     trace: list[TraceRecord] = []
@@ -207,17 +204,17 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
 
     for k in range(config.max_primal_iters):
         consensus_start = metrics.consensus_rounds
-        barrier_grad(x, S, mu, scale, d1, g)
-        barrier_hessian_diag(x, S, mu, scale, d2, H)
+        g = barrier_grad(x, S, mu, scale, d1)
+        H = barrier_hessian_diag(x, S, mu, scale, d2)
         split = build_splitting(net, H, g, split_out)
         # no max cut per step: its exhaustive 2^(L-1) enumeration would dominate
         spectra = spectral_diagnostics(split, max_cut_limit=0) if config.record_spectra else None
-        lam1 = spectral_radius(split) if spectra is None else spectra.lambda1
+        lam1 = spectral_radius(split, split_out) if spectra is None else spectra.lambda1
         dual_cfg = DualControlConfig.from_lambda1(lam1, config.p, config.epsilon, config.T)
         w, cert = run_dual_with_error_control(net, H, split, dual_cfg, w_warm, price_out)
         metrics.count_price_solve(net, cert)
-        direction = primal_direction(net, H, g, w, delta)
-        theta, sum_rounds = compute_theta(net, aux, delta, H, sum_out)
+        direction = primal_direction(net, H, g, w)
+        theta, sum_rounds = compute_theta(net, aux, direction.delta, H, sum_out)
         metrics.summation_rounds += sum_rounds
         if config.tau_noise:
             theta = max(0.0, theta + config.tau_noise * math.cos(float(k)))
@@ -235,7 +232,7 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
             dual_iters=cert.dual_iters,
             consensus_rounds=metrics.consensus_rounds - consensus_start,
             summation_rounds=sum_rounds,
-            min_slack=float(lowest(x[S:])),
+            min_slack=float(x[S:].min()),
             feas_residual=resid,
             certificate=cert,
             x=x.copy() if config.store_iterates else None,
@@ -246,8 +243,8 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
         if not damped and theta <= config.theta_term:
             converged = True
             break
-        np.add(x, np.multiply(d, delta, step), x)
-        if not lowest(x) > 0:
+        x = x + d * direction.delta
+        if not np.all(x > 0):
             raise AssertionError(
                 "iterate lost strict positivity; stepsize window violated"
             )

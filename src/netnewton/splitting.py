@@ -13,7 +13,7 @@ the iteration's convergence rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -47,16 +47,14 @@ class SplittingData:
     bbar: row sums of bk,
     rhs:  -A H^-1 grad, the right-hand side of the dual system.
 
-    A split from build_splitting holds its arrays in the SplittingBuffers
-    it was built into, as buffers, and has denom, iteration_matrix and
-    offset computed already.
+    A split from build_splitting has denom, iteration_matrix and offset
+    computed already; one built into SplittingBuffers holds their arrays.
     """
 
     dk: np.ndarray
     bk: np.ndarray
     bbar: np.ndarray
     rhs: np.ndarray
-    buffers: "SplittingBuffers | None" = field(default=None, repr=False, compare=False)
 
     @cached_property
     def denom(self) -> np.ndarray:
@@ -87,9 +85,9 @@ class SplittingData:
 
 class SplittingBuffers:
     """The arrays build_splitting writes one network's split into, and
-    spectral_radius its symmetrized matrix. A solve allocates them once
-    and every primal step overwrites them, so a split built into them is
-    valid until the next build."""
+    spectral_radius its symmetrized matrix. newton_solve allocates them
+    once and every primal step overwrites them, so a split built into them
+    is valid only until the next build."""
 
     def __init__(self, network: Network):
         L, n = network.num_links, network.num_sources + network.num_links
@@ -148,7 +146,7 @@ def build_splitting(network: Network, hessian_diag, grad, out=None) -> Splitting
     np.copyto(b.diag_entries, b.bbar)
     np.divide(np.subtract(b.diag, b.bk, b.m), b.denom_col, b.m)
     np.divide(b.rhs, b.denom, b.offset)
-    split = SplittingData(dk=b.dk, bk=b.bk, bbar=b.bbar, rhs=b.rhs, buffers=b)
+    split = SplittingData(dk=b.dk, bk=b.bk, bbar=b.bbar, rhs=b.rhs)
     # fill the cached properties with the values they would compute
     vars(split).update(denom=b.denom, iteration_matrix=b.m_view, offset=b.offset)
     return split
@@ -269,18 +267,18 @@ def build_dual_graph(network: Network, hessian_diag) -> SplittingData:
     return build_splitting(network, hessian_diag, zero_grad)
 
 
-def spectral_radius(split: SplittingData) -> float:
+def spectral_radius(split: SplittingData, out=None) -> float:
     """Largest-magnitude eigenvalue of the iteration matrix.
 
     Computed on the symmetrized similar matrix for numerical stability;
     asserts the contraction property (< 1) that the splitting guarantees.
-    A split from build_splitting symmetrizes into its buffers.
+    With out (the SplittingBuffers of the split's network) the symmetrized
+    matrix is written into it.
     """
     L = len(split.denom)
-    b = split.buffers
     scale, sym, both = (
-        (np.empty(L), np.empty((L, L)), np.empty((L, L))) if b is None
-        else (b.scale, b.sym, b.sym_sum)
+        (np.empty(L), np.empty((L, L)), np.empty((L, L))) if out is None
+        else (out.scale, out.sym, out.sym_sum)
     )
     np.sqrt(split.denom, scale)
     np.divide(np.multiply(split.iteration_matrix, scale[:, None], sym), scale, sym)

@@ -112,23 +112,6 @@ class TestPrimalDirection:
                     1.0 + np.abs(d.delta).max()
                 )
 
-    def test_written_into_out_matches_the_allocating_form(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            net = draw_network(rng)
-            _, H, g = random_positive_state(net, rng)
-            w = rng.normal(size=net.num_links) * 10
-            out = np.empty(net.num_sources + net.num_links)
-            d = primal_direction(net, H, g, w, out)
-            fresh = primal_direction(net, H, g, w)
-            S = net.num_sources
-            # the form before out: allocated rate and slack parts, concatenated
-            delta_s = -(g[:S] + net.routing.T @ w) / H[:S]
-            oracle = np.concatenate([delta_s, -(net.routing @ delta_s)])
-            assert d.delta is out
-            assert out.tobytes() == fresh.delta.tobytes() == oracle.tobytes()
-            assert d.decrement == fresh.decrement == float(np.sqrt(np.sum(oracle**2 * H)))
-
 
 class TestSaddleCheck:
     def test_perturbed_direction_or_prices_raise(self):

@@ -85,14 +85,15 @@ class TestSplittingBuffers:
             for _ in range(4):
                 _, H, g = random_positive_state(net, rng)
                 H = H * 10.0 ** rng.uniform(-6, 6, len(H))
-                for split in (build_splitting(net, H, g, buffers), build_splitting(net, H, g)):
+                for split, out in ((build_splitting(net, H, g, buffers), buffers),
+                                   (build_splitting(net, H, g), None)):
                     expected = build_splitting_oracle(net, H, g)
                     got = (split.dk, split.bk, split.bbar, split.rhs, split.denom,
                            split.iteration_matrix, split.offset)
                     for a, b in zip(got, expected):
                         assert a.tobytes() == b.tobytes()
                     assert not split.iteration_matrix.flags.writeable
-                    assert repr(spectral_radius(split)) == repr(
+                    assert repr(spectral_radius(split, out)) == repr(
                         spectral_radius_oracle(expected[4], expected[5]))
 
     def test_a_split_built_into_buffers_uses_them(self):
@@ -101,8 +102,20 @@ class TestSplittingBuffers:
         buffers = SplittingBuffers(net)
         _, H, g = random_positive_state(net, rng)
         split = build_splitting(net, H, g, buffers)
-        assert split.buffers is buffers and split.bk is buffers.bk
+        assert split.bk is buffers.bk
         assert np.shares_memory(split.iteration_matrix, buffers.m)
+        # only a caller that passes the buffers writes into them: a copy
+        # with a changed piece derives its own arrays, and the spectral
+        # report allocates its symmetrized matrix
+        tampered = replace(split, bbar=2.0 * split.bbar)
+        for derived in (tampered.denom, tampered.iteration_matrix, tampered.offset):
+            assert not any(np.shares_memory(derived, a) for a in vars(buffers).values()
+                           if isinstance(a, np.ndarray))
+        buffers.sym_sum.fill(np.nan)
+        spectral_diagnostics(split, max_cut_limit=0)
+        assert np.isnan(buffers.sym_sum).all()
+        spectral_radius(split, buffers)
+        assert not np.isnan(buffers.sym_sum).any()
         # a later build overwrites it; a split built without buffers is its own
         fresh = build_splitting(net, H, g)
         build_splitting(net, 2.0 * H, g, buffers)

@@ -113,6 +113,12 @@ def test_tracer_sees_every_newton_phase():
         assert calls[layer] == steps, layer
     assert calls["splitting.dual_step_matrix"] == res.total_dual_iters
     assert calls["solver.newton_solve"] == 1
+    # the stage tests: one stage1_beta per step, then a stage2_h threshold
+    # and a stage1_beta retest per stage-2 round, two passes each
+    certs = [rec.certificate for rec in res.trace]
+    rounds = [(c.consensus_passes - (c.dual_iters - c.T) - 2) // 2 for c in certs]
+    assert sum(rounds) > 0
+    assert calls["errorcontrol.stage_tests"] == steps + 2 * sum(rounds)
 
 
 def test_invariant_checks_hold_under_optimize():
