@@ -270,17 +270,15 @@ def distributed_sum(
 
 
 class AggregationBuffers:
-    """The arrays compute_theta writes one network's aggregations into:
-    the inputs, and the histories of aux.diameter + 1 rounds. A Newton
-    solve allocates them once for all its primal steps."""
+    """The arrays compute_theta writes the aggregations of one network
+    shape and companion-graph diameter into: scratch only, the inputs and
+    the histories of aux.diameter + 1 rounds. A Newton solve allocates
+    them once for all its primal steps."""
 
     def __init__(self, network: Network, aux: AuxiliaryGraph):
         S, L = network.num_sources, network.num_links
         rounds = aux.diameter + 1
-        self.rounds = rounds
-        # y_star then z_star; the sources' divisor 1 is exact
-        self.star = np.empty(S + L)
-        self.divisor = np.concatenate([np.ones(S), network.crossing_counts])
+        self.star = np.empty(S + L)  # y_star then z_star
         # one array, so that the final values of sources and links are one row
         self.history = np.empty((rounds + 1, S + L))
         self.histories = (self.history[:, :S], self.history[:, S:])
@@ -295,7 +293,8 @@ def compute_theta(network: Network, aux: AuxiliaryGraph, delta, hessian_diag, ou
     every participant, and takes the square root of the common value. With
     this path the stepsize scalar equals the decrement exactly (up to
     float roundoff), so the decrement-approximation error is zero. With
-    out (the AggregationBuffers of this network) the aggregation runs in it.
+    out (AggregationBuffers of a network of this shape and diameter) the
+    aggregation runs in it.
 
     Returns (theta, rounds).
     """
@@ -303,8 +302,11 @@ def compute_theta(network: Network, aux: AuxiliaryGraph, delta, hessian_diag, ou
     d = np.asarray(delta, dtype=float)
     S = network.num_sources
     b = AggregationBuffers(network, aux) if out is None else out
-    star = np.divide(np.multiply(np.square(d, b.star), H, b.star), b.divisor, b.star)
-    run = distributed_sum(network, aux, star[:S], star[S:], rounds=b.rounds, out=b.histories)
+    star = np.multiply(np.square(d, b.star), H, b.star)
+    y_star, z_star = star[:S], star[S:]
+    np.divide(z_star, network.crossing_counts, z_star)
+    run = distributed_sum(network, aux, y_star, z_star, rounds=aux.diameter + 1,
+                          out=b.histories)
     final = b.history[-1]  # run.y_final, then run.z_final
     total = final[0]
     spread = np.maximum.reduce(np.absolute(np.subtract(final, total, b.spread), b.spread))

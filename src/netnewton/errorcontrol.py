@@ -9,8 +9,8 @@ accepts when the certified relative error is within p. Otherwise stage 2
 derives a sup-norm threshold on consecutive price changes that caps the
 remaining absolute error by epsilon, and iterates until it is met.
 
-A solve writes its sweeps and tests through the PriceBuffers of its
-network, which a Newton solve allocates once for all its primal steps,
+A solve writes its sweeps and tests through PriceBuffers, scratch
+vectors that a Newton solve allocates once for all its primal steps,
 and tests every stage-2 sweep before it runs the next. Sweeping ahead in
 blocks, as the first-order loop does with its 256-row blocks, would make
 the test cheaper per sweep, but would execute sweeps past the accepted
@@ -200,15 +200,13 @@ def max_consensus(values, neighbors, rounds: int | None = None):
 
 
 class PriceBuffers:
-    """The vectors run_dual_with_error_control writes one network's price
-    solves through, with the operands that depend on the network alone. A
-    Newton solve allocates them once for all its primal steps."""
+    """The vectors run_dual_with_error_control writes the price solves of
+    one network shape through: scratch only, so that every operand comes
+    from the network solved. A Newton solve allocates them once for all
+    its primal steps."""
 
     def __init__(self, network: Network):
         S, L = network.num_sources, network.num_links
-        self.routing = network.routing
-        self.routing_t = network.routing.T
-        self.pi0 = self.routing_t @ np.ones(L)  # route lengths
         self.prices = (np.empty(L), np.empty(L))
         self.change = np.empty(L)
         # Pi0 and Pi_t, each followed by its link sums
@@ -237,22 +235,22 @@ def run_dual_with_error_control(
 
     split is the splitting of the dual system at the current primal point
     (build_splitting of hessian_diag and the gradient). With out (the
-    PriceBuffers of this network) the solve runs in it, and the returned
-    prices are one of its vectors, valid until its next solve; the warm
-    start may be that vector.
+    PriceBuffers of a network of this shape) the solve runs in it, and the
+    returned prices are one of its vectors, valid until its next solve;
+    the warm start may be that vector.
 
     Returns (accepted prices, ErrorCertificate); the certificate counts
     the sweeps and the max-consensus passes the solve executed.
     """
     H = np.asarray(hessian_diag, dtype=float)
     b = PriceBuffers(network) if out is None else out
-    S, L = network.num_sources, network.num_links
+    S = network.num_sources
     H_src = H[:S]
-    R, R_t = b.routing, b.routing_t
+    R, R_t, pi0 = network.routing, network.routing.T, network.route_lengths
     # Pi0 = pi0 / H and its link sums serve every retest and threshold
     num, agg = b.num, b.agg
     big_pi0, big_pi = num[:S], agg[:S]
-    R.dot(np.divide(b.pi0, H_src, big_pi0), num[S:])
+    R.dot(np.divide(pi0, H_src, big_pi0), num[S:])
 
     def retest(w_prev, w_cur):
         R.dot(np.divide(R_t.dot(w_prev, big_pi), H_src, big_pi), agg[S:])
@@ -275,7 +273,7 @@ def run_dual_with_error_control(
     passes = 2  # the price change and beta
     h = None
     while not beta >= 1.0:  # a NaN beta goes on to stage2_h, which rejects it
-        h = stage2_h(network, H, big_pi0, b.pi0, beta, cfg.epsilon, cfg.F)
+        h = stage2_h(network, H, big_pi0, pi0, beta, cfg.epsilon, cfg.F)
         for steps in range(steps + 1, cfg.iter_cap + 1):
             w_prev, w_cur = w_cur, dual_step_matrix(split, w_cur, w_prev)
             if _largest(absolute(subtract(w_cur, w_prev, change), change)) <= h:

@@ -233,6 +233,11 @@ class Network:
         return _frozen(self.routing.sum(axis=1))
 
     @cached_property
+    def route_lengths(self) -> np.ndarray:
+        """For each source, the number of links on its route."""
+        return _frozen(self.routing.T @ np.ones(self.num_links))
+
+    @cached_property
     def comm_neighbors(self) -> tuple:
         """Bipartite exchange graph: nodes 0..S-1 are sources, S..S+L-1 links.
 

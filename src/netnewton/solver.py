@@ -37,12 +37,7 @@ from .model import (
     stack_utility_groups,
     utility_method,
 )
-from .splitting import (
-    SplittingBuffers,
-    build_splitting,
-    spectral_diagnostics,
-    spectral_radius,
-)
+from .splitting import build_splitting, spectral_diagnostics, spectral_radius
 
 __all__ = [
     "SolverConfig",
@@ -191,11 +186,11 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
     metrics.aux_construction_rounds = aux.rounds
     x = feasible_init(net).values.copy()
     resid = feasibility_residual(net, x)
-    # Bound once per solve: the utility methods, and the buffers that every
-    # step's split, price solve and aggregation overwrite.
+    # Bound once per solve: the utility methods, and the split, price and
+    # aggregation buffers that every step overwrites.
     mu, scale = problem.mu, problem.scale
     value, d1, d2 = (utility_method(net, m) for m in ("value", "d1", "d2"))
-    split_out, price_out = SplittingBuffers(net), PriceBuffers(net)
+    split, price_out = None, PriceBuffers(net)
     sum_out = AggregationBuffers(net, aux)
     w_warm = np.ones(net.num_links)
     damped = True
@@ -206,10 +201,10 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
         consensus_start = metrics.consensus_rounds
         g = barrier_grad(x, S, mu, scale, d1)
         H = barrier_hessian_diag(x, S, mu, scale, d2)
-        split = build_splitting(net, H, g, split_out)
+        split = build_splitting(net, H, g, split)
         # no max cut per step: its exhaustive 2^(L-1) enumeration would dominate
         spectra = spectral_diagnostics(split, max_cut_limit=0) if config.record_spectra else None
-        lam1 = spectral_radius(split, split_out) if spectra is None else spectra.lambda1
+        lam1 = spectral_radius(split) if spectra is None else spectra.lambda1
         dual_cfg = DualControlConfig.from_lambda1(lam1, config.p, config.epsilon, config.T)
         w, cert = run_dual_with_error_control(net, H, split, dual_cfg, w_warm, price_out)
         metrics.count_price_solve(net, cert)

@@ -14,7 +14,6 @@ the iteration's convergence rate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .model import Network
 
 __all__ = [
     "SplittingData",
-    "SplittingBuffers",
     "DualState",
     "SpectralReport",
     "build_splitting",
@@ -42,69 +40,32 @@ MAX_CUT_ENUM_LIMIT = 20
 class SplittingData:
     """Split pieces of A H^-1 A' at a fixed primal point.
 
-    dk:   diagonal of A H^-1 A' (strictly positive),
-    bk:   off-diagonal part, symmetric and elementwise nonnegative,
-    bbar: row sums of bk,
-    rhs:  -A H^-1 grad, the right-hand side of the dual system.
-
-    A split from build_splitting has denom, iteration_matrix and offset
-    computed already; one built into SplittingBuffers holds their arrays.
+    dk:               diagonal of A H^-1 A' (strictly positive),
+    bk:               off-diagonal part, symmetric and elementwise nonnegative,
+    bbar:             row sums of bk,
+    rhs:              -A H^-1 grad, the right-hand side of the dual system,
+    denom:            dk + bbar, the diagonal of D + Bbar, the invertible half,
+    iteration_matrix: M = (diag(Bbar) - B) / denom, row by row; a sweep maps
+                      w to M w + offset, and its spectral radius is the
+                      contraction factor. Read-only, since the sweeps and
+                      the eigensolve share it,
+    offset:           rhs / denom, the constant part of a sweep.
     """
 
     dk: np.ndarray
     bk: np.ndarray
     bbar: np.ndarray
     rhs: np.ndarray
+    denom: np.ndarray
+    iteration_matrix: np.ndarray
+    offset: np.ndarray
 
-    @cached_property
-    def denom(self) -> np.ndarray:
-        """Diagonal of D + Bbar, the invertible half of the split."""
-        return self.dk + self.bbar
-
-    @cached_property
-    def iteration_matrix(self) -> np.ndarray:
-        """M = (diag(Bbar) - B) / denom, row by row; a sweep maps w to
-        M w + offset, and its spectral radius is the contraction factor.
-        Read-only, since the sweeps and the eigensolve share it."""
-        m = (np.diag(self.bbar) - self.bk) / self.denom[:, None]
-        m.setflags(write=False)
-        return m
-
-    @cached_property
+    @property
     def weights(self) -> np.ndarray:
         """B / denom, row by row: the weighted coupling graph on links (an
         edge means two links share a flow) whose out-degrees and cuts bound
         the contraction factor."""
         return self.bk / self.denom[:, None]
-
-    @cached_property
-    def offset(self) -> np.ndarray:
-        """rhs / denom, the constant part of a sweep."""
-        return self.rhs / self.denom
-
-
-class SplittingBuffers:
-    """The arrays build_splitting writes one network's split into, and
-    spectral_radius its symmetrized matrix. newton_solve allocates them
-    once and every primal step overwrites them, so a split built into them
-    is valid only until the next build."""
-
-    def __init__(self, network: Network):
-        L, n = network.num_links, network.num_sources + network.num_links
-        self.incidence = network.incidence
-        self.incidence_t = self.incidence.T
-        self.hinv = np.empty(n)
-        self.scaled = np.empty((L, n))  # A H^-1, then its negation
-        self.bk, self.m, self.sym, self.sym_sum = (np.empty((L, L)) for _ in range(4))
-        self.diag = np.zeros((L, L))  # diag(bbar)
-        self.dk, self.bbar, self.rhs, self.denom, self.offset, self.row, self.scale = (
-            np.empty(L) for _ in range(7)
-        )
-        self.bk_diag = self.bk.reshape(-1)[:: L + 1]
-        self.diag_entries = self.diag.reshape(-1)[:: L + 1]
-        self.denom_col = self.denom[:, None]
-        self.m_view = self.m.view()  # the split's read-only iteration_matrix
-        self.m_view.setflags(write=False)
 
 
 def _checked_hessian(hessian_diag, grad, n: int, ndim: int = 1):
@@ -123,46 +84,57 @@ def _checked_hessian(hessian_diag, grad, n: int, ndim: int = 1):
 
 def build_splitting(network: Network, hessian_diag, grad, out=None) -> SplittingData:
     """The split of the dual system at the point with this Hessian diagonal
-    and gradient. With out (the SplittingBuffers of this network) the split
-    is written into it; otherwise into fresh buffers."""
-    H, g = _checked_hessian(hessian_diag, grad, network.num_sources + network.num_links)
-    b = SplittingBuffers(network) if out is None else out
-    np.divide(1.0, H, b.hinv)
-    np.multiply(b.incidence, b.hinv, b.scaled)
-    b.scaled.dot(b.incidence_t, b.bk)  # A H^-1 A', whose diagonal is dk
-    np.negative(b.scaled, b.scaled)
-    b.scaled.dot(g, b.rhs)
-    np.copyto(b.dk, b.bk_diag)
-    np.subtract(b.bk_diag, b.dk, b.bk_diag)  # G - diag(dk) on the diagonal
-    np.add.reduce(b.bk, axis=1, out=b.bbar)
+    and gradient, each piece computed once. With out (an earlier split of a
+    network of the same shape, from build_splitting) the pieces are written
+    into its arrays and out is returned; otherwise into new arrays."""
+    L = network.num_links
+    H, g = _checked_hessian(hessian_diag, grad, network.num_sources + L)
+    if out is None:
+        view = np.empty((L, L)).view()
+        view.setflags(write=False)
+        out = SplittingData(
+            dk=np.empty(L), bk=np.empty((L, L)), bbar=np.empty(L), rhs=np.empty(L),
+            denom=np.empty(L), iteration_matrix=view, offset=np.empty(L))
+    dk, bk, bbar, rhs, denom, offset = (
+        out.dk, out.bk, out.bbar, out.rhs, out.denom, out.offset)
+    m = out.iteration_matrix.base  # the writable array behind the read-only view
+    if m is None:
+        raise ValueError("out must be a split that build_splitting made")
+    A = network.incidence
+    scaled = np.multiply(A, np.divide(1.0, H))  # A H^-1, then its negation
+    scaled.dot(A.T, bk)  # A H^-1 A', whose diagonal is dk
+    np.negative(scaled, scaled)
+    scaled.dot(g, rhs)
+    bk_diag = bk.reshape(-1)[:: L + 1]
+    np.copyto(dk, bk_diag)
+    np.subtract(bk_diag, dk, bk_diag)  # G - diag(dk) on the diagonal
+    np.add.reduce(bk, axis=1, out=bbar)
 
     # D + 2 Bbar - B must be strictly diagonally dominant with a positive
     # diagonal; this is what guarantees the iteration matrix is a contraction.
     # The row sums of |off-diagonal of Q| equal bbar.
-    qk_diag = np.add(b.dk, np.multiply(2.0, b.bbar, b.row), b.row)
-    if not np.logical_and.reduce(qk_diag > b.bbar):
+    if not np.logical_and.reduce(dk + 2.0 * bbar > bbar):
         raise AssertionError("splitting lost strict diagonal dominance")
-    np.add(b.dk, b.bbar, b.denom)
-    np.copyto(b.diag_entries, b.bbar)
-    np.divide(np.subtract(b.diag, b.bk, b.m), b.denom_col, b.m)
-    np.divide(b.rhs, b.denom, b.offset)
-    split = SplittingData(dk=b.dk, bk=b.bk, bbar=b.bbar, rhs=b.rhs)
-    # fill the cached properties with the values they would compute
-    vars(split).update(denom=b.denom, iteration_matrix=b.m_view, offset=b.offset)
-    return split
+    np.add(dk, bbar, denom)
+    # diag(bbar) - bk: 0 - bk off the diagonal, bbar - 0 on it
+    np.subtract(0.0, bk, m)
+    np.copyto(m.reshape(-1)[:: L + 1], bbar)
+    np.divide(m, denom[:, None], m)
+    np.divide(rhs, denom, offset)
+    return out
 
 
 def dual_step_matrix(split: SplittingData, w, out=None) -> np.ndarray:
     """One fixed-point sweep of the price iteration in matrix form.
 
-    With out (a contiguous float vector other than w) the sweep is written
-    into it and out is returned. Both forms run one BLAS matrix-vector
-    product on the same operands, and tests/test_errorcontrol.py pins that
-    they agree bit for bit; ndarray.dot takes out with less call overhead
-    than np.matmul.
+    The sweep is written into out (a contiguous float vector other than w),
+    which is allocated when absent, and out is returned. ndarray.dot runs
+    the BLAS matrix-vector product of `@` and takes out with less call
+    overhead than np.matmul; tests/test_errorcontrol.py pins that it
+    agrees with `iteration_matrix @ w + offset` bit for bit.
     """
     if out is None:
-        return split.iteration_matrix @ w + split.offset
+        out = np.empty_like(split.offset)
     split.iteration_matrix.dot(w, out)
     out += split.offset
     return out
@@ -267,22 +239,17 @@ def build_dual_graph(network: Network, hessian_diag) -> SplittingData:
     return build_splitting(network, hessian_diag, zero_grad)
 
 
-def spectral_radius(split: SplittingData, out=None) -> float:
+def spectral_radius(split: SplittingData) -> float:
     """Largest-magnitude eigenvalue of the iteration matrix.
 
     Computed on the symmetrized similar matrix for numerical stability;
     asserts the contraction property (< 1) that the splitting guarantees.
-    With out (the SplittingBuffers of the split's network) the symmetrized
-    matrix is written into it.
     """
-    L = len(split.denom)
-    scale, sym, both = (
-        (np.empty(L), np.empty((L, L)), np.empty((L, L))) if out is None
-        else (out.scale, out.sym, out.sym_sum)
-    )
-    np.sqrt(split.denom, scale)
-    np.divide(np.multiply(split.iteration_matrix, scale[:, None], sym), scale, sym)
-    np.multiply(0.5, np.add(sym, sym.T, both), both)
+    scale = np.sqrt(split.denom)
+    sym = split.iteration_matrix * scale[:, None]
+    sym /= scale
+    both = np.add(sym, sym.T)
+    both *= 0.5
     if not np.logical_and.reduce(np.isfinite(both), axis=None):
         raise ValueError("iteration matrix has non-finite entries")
     # ascending, so the extremes hold the largest magnitude
@@ -297,7 +264,8 @@ def weighted_max_cut(split: SplittingData) -> float:
     """Exact maximum over link subsets of the coupling weight crossing the
     cut, counting both directions. Exhaustive enumeration, so only sensible
     for small graphs; link 0 is pinned to one side by symmetry."""
-    both = split.weights + split.weights.T
+    weights = split.weights
+    both = weights + weights.T
     L = both.shape[0]
     if L > MAX_CUT_ENUM_LIMIT:
         raise ValueError(f"max-cut enumeration limited to {MAX_CUT_ENUM_LIMIT} links")

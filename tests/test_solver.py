@@ -28,9 +28,13 @@ from netnewton import (
     stepsize_rule,
     two_pass_solve,
 )
-from netnewton.auxgraph import build_auxiliary_graph, compute_theta
+from netnewton.auxgraph import AggregationBuffers, build_auxiliary_graph, compute_theta
 from netnewton.direction import primal_direction
-from netnewton.errorcontrol import DualControlConfig, run_dual_with_error_control
+from netnewton.errorcontrol import (
+    DualControlConfig,
+    PriceBuffers,
+    run_dual_with_error_control,
+)
 from netnewton.metrics import MessageMetrics
 from netnewton.model import FEASIBILITY_RTOL, feasibility_residual
 from netnewton.solver import (
@@ -43,7 +47,7 @@ from netnewton.solver import (
 )
 from netnewton.splitting import build_splitting, spectral_diagnostics
 
-from conftest import draw_network
+from conftest import draw_network, init_state
 from test_direction import kkt_direction_oracle
 
 
@@ -361,6 +365,32 @@ class TestNewtonOracle:
         for scale in (3.0, 1e3):
             assert_matches_newton_oracle(BarrierProblem(study_network(2), 1.0, scale),
                                          SolverConfig())
+
+
+class TestStepBuffers:
+    def test_buffers_of_another_network_change_no_result(self):
+        # the split, price and aggregation buffers a solve reuses hold no
+        # operand of the network they were made for: run in those of
+        # another network of the same shape, every output is a fresh build's
+        net, other = random_network(15, 8, 0.5, 1), random_network(15, 8, 0.5, 2)
+        aux, aux_other = build_auxiliary_graph(net), build_auxiliary_graph(other)
+        assert aux.diameter == aux_other.diameter
+        cfg = DualControlConfig(T=3, p=1e-3, epsilon=1e-4, F=0.9)
+        _, H_other, g_other = init_state(other)
+        earlier = build_splitting(other, H_other, g_other)
+        price_out, sum_out = PriceBuffers(other), AggregationBuffers(other, aux_other)
+        run_dual_with_error_control(other, H_other, earlier, cfg, None, price_out)
+        _, H, g = init_state(net)
+        fresh = build_splitting(net, H, g)
+        split = build_splitting(net, H, g, earlier)
+        for piece in ("dk", "bk", "bbar", "rhs", "denom", "iteration_matrix", "offset"):
+            assert bits(getattr(split, piece)) == bits(getattr(fresh, piece)), piece
+        w, cert = run_dual_with_error_control(net, H, split, cfg, None, price_out)
+        w_ref, cert_ref = run_dual_with_error_control(net, H, fresh, cfg)
+        assert (bits(w), bits(cert)) == (bits(w_ref), bits(cert_ref))
+        delta = primal_direction(net, H, g, w).delta
+        assert bits(compute_theta(net, aux, delta, H, sum_out)) == bits(
+            compute_theta(net, aux, delta, H))
 
 
 class TestTwoPass:

@@ -17,7 +17,7 @@ from netnewton import (
     weighted_max_cut,
     LogUtility,
 )
-from netnewton.splitting import DualState, SplittingBuffers
+from netnewton.splitting import DualState
 
 from conftest import draw_network, example_state, init_state, random_positive_state
 
@@ -56,8 +56,8 @@ class TestBuildSplitting:
 
 def build_splitting_oracle(network, H, g):
     """Oracle for build_splitting: the allocating form it had before it
-    wrote into SplittingBuffers. Returns dk, bk, bbar, rhs, denom, the
-    iteration matrix and the offset."""
+    could write into an earlier split. Returns dk, bk, bbar, rhs, denom,
+    the iteration matrix and the offset."""
     AD = network.incidence * (1.0 / H)
     G, rhs = AD @ network.incidence.T, -AD @ g
     dk = np.diag(G).copy()
@@ -75,52 +75,71 @@ def spectral_radius_oracle(denom, iteration_matrix):
     return float(np.abs(np.linalg.eigvalsh(sym)).max())
 
 
+PIECES = ("dk", "bk", "bbar", "rhs", "denom", "iteration_matrix", "offset")
+
+
 class TestSplittingBuffers:
     def test_buffered_splits_match_the_allocating_form(self):
-        # one set of buffers serves every draw on a network, as in a solve
+        # one split serves every draw on a network, as in a solve
         rng = np.random.default_rng(31)
         for _ in range(12):
             net = draw_network(rng)
-            buffers = SplittingBuffers(net)
+            earlier = None
             for _ in range(4):
                 _, H, g = random_positive_state(net, rng)
                 H = H * 10.0 ** rng.uniform(-6, 6, len(H))
-                for split, out in ((build_splitting(net, H, g, buffers), buffers),
-                                   (build_splitting(net, H, g), None)):
+                built = build_splitting(net, H, g, earlier)
+                assert earlier is None or built is earlier
+                earlier = built
+                for split in (built, build_splitting(net, H, g)):
                     expected = build_splitting_oracle(net, H, g)
-                    got = (split.dk, split.bk, split.bbar, split.rhs, split.denom,
-                           split.iteration_matrix, split.offset)
+                    got = tuple(getattr(split, piece) for piece in PIECES)
                     for a, b in zip(got, expected):
                         assert a.tobytes() == b.tobytes()
                     assert not split.iteration_matrix.flags.writeable
-                    assert repr(spectral_radius(split, out)) == repr(
+                    assert repr(spectral_radius(split)) == repr(
                         spectral_radius_oracle(expected[4], expected[5]))
 
     def test_a_split_built_into_buffers_uses_them(self):
         rng = np.random.default_rng(32)
         net = draw_network(rng)
-        buffers = SplittingBuffers(net)
         _, H, g = random_positive_state(net, rng)
-        split = build_splitting(net, H, g, buffers)
-        assert split.bk is buffers.bk
-        assert np.shares_memory(split.iteration_matrix, buffers.m)
-        # only a caller that passes the buffers writes into them: a copy
-        # with a changed piece derives its own arrays, and the spectral
-        # report allocates its symmetrized matrix
-        tampered = replace(split, bbar=2.0 * split.bbar)
-        for derived in (tampered.denom, tampered.iteration_matrix, tampered.offset):
-            assert not any(np.shares_memory(derived, a) for a in vars(buffers).values()
-                           if isinstance(a, np.ndarray))
-        buffers.sym_sum.fill(np.nan)
-        spectral_diagnostics(split, max_cut_limit=0)
-        assert np.isnan(buffers.sym_sum).all()
-        spectral_radius(split, buffers)
-        assert not np.isnan(buffers.sym_sum).any()
-        # a later build overwrites it; a split built without buffers is its own
+        split = build_splitting(net, H, g)
+        arrays = [getattr(split, piece) for piece in PIECES]
+        # a later build overwrites it; a split built without one is its own
         fresh = build_splitting(net, H, g)
-        build_splitting(net, 2.0 * H, g, buffers)
+        assert build_splitting(net, 2.0 * H, g, split) is split
+        assert all(getattr(split, piece) is a for piece, a in zip(PIECES, arrays))
         assert not np.array_equal(split.dk, fresh.dk)
-        assert not np.shares_memory(fresh.bk, buffers.bk)
+        assert not any(np.shares_memory(getattr(fresh, piece), a)
+                       for piece in PIECES for a in arrays)
+        # a split whose matrix is not the read-only view of a build is refused
+        copied = replace(split, iteration_matrix=split.iteration_matrix.copy())
+        with pytest.raises(ValueError, match="build_splitting made"):
+            build_splitting(net, H, g, copied)
+
+    def test_rebuilt_split_serves_no_stale_value(self):
+        # every piece, and every value derived from one, follows the last
+        # build: a weights cached at the first point would fail here
+        rng = np.random.default_rng(33)
+        for _ in range(6):
+            net = draw_network(rng)
+            _, H1, g1 = random_positive_state(net, rng)
+            _, H2, g2 = random_positive_state(net, rng)
+            H2 = H2 * 10.0 ** rng.uniform(-3, 3, len(H2))
+            split = build_splitting(net, H1, g1)
+            first = (split.weights.copy(), spectral_radius(split),
+                     spectral_diagnostics(split, max_cut_limit=0))
+            build_splitting(net, H2, g2, split)
+            fresh = build_splitting(net, H2, g2)
+            for piece in PIECES:
+                assert getattr(split, piece).tobytes() == getattr(fresh, piece).tobytes()
+            assert split.weights.tobytes() == fresh.weights.tobytes()
+            assert split.weights.tobytes() != first[0].tobytes()
+            assert repr(spectral_radius(split)) == repr(spectral_radius(fresh))
+            assert repr(spectral_diagnostics(split, max_cut_limit=0)) == repr(
+                spectral_diagnostics(fresh, max_cut_limit=0))
+            assert repr(spectral_diagnostics(split, max_cut_limit=0)) != repr(first[2])
 
 
 class TestDualIteration:
@@ -284,10 +303,10 @@ class TestSpectral:
     def test_non_finite_matrix_rejected(self, two_flow_network, bad):
         # checked before the eigensolve, which would return nan eigenvalues
         split = build_dual_graph(two_flow_network, np.ones(7))
-        bk = split.bk.copy()
-        bk[0, 2] = bk[2, 0] = bad
+        m = split.iteration_matrix.copy()
+        m[0, 2] = m[2, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            spectral_radius(replace(split, bk=bk))
+            spectral_radius(replace(split, iteration_matrix=m))
 
     def test_congested_example_matches_reported_values(self, congested_example):
         _, H, _ = example_state(congested_example)

@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -37,6 +38,17 @@ def test_bench_trace_targets_resolve():
     for module, name, _, _ in bench_trace.TARGETS:
         fn = getattr(importlib.import_module(f"netnewton.{module}"), name, None)
         assert callable(fn), f"netnewton.{module}.{name}"
+
+
+def test_public_names_resolve():
+    # every name a module exports exists, so a deleted type cannot stay
+    # listed in its __all__
+    modules = [importlib.import_module(f"netnewton.{info.name}")
+               for info in pkgutil.iter_modules(netnewton.__path__)]
+    exported = [(m, name) for m in modules for name in getattr(m, "__all__", ())]
+    assert exported
+    missing = [f"{m.__name__}.{name}" for m, name in exported if not hasattr(m, name)]
+    assert missing == []
 
 
 def test_import_leaves_scipy_unloaded():
@@ -129,8 +141,11 @@ def test_invariant_checks_hold_under_optimize():
     code = (
         "import numpy as np, netnewton as nn\n"
         "assert False, 'assert statements run'\n"
-        "split = nn.SplittingData(dk=np.full(2, 0.1), bk=np.array([[0.0, 1.0], [1.0, 0.0]]),\n"
-        "                         bbar=np.ones(2), rhs=np.zeros(2))\n"
+        "bk = np.array([[0.0, 1.0], [1.0, 0.0]])\n"
+        "denom = np.full(2, 1.1)  # dk 0.1 plus bbar 1\n"
+        "split = nn.SplittingData(dk=np.full(2, 0.1), bk=bk, bbar=np.ones(2), rhs=np.zeros(2),\n"
+        "                         denom=denom, iteration_matrix=(np.eye(2) - bk) / denom[:, None],\n"
+        "                         offset=np.zeros(2))\n"
         "net = nn.build_network([[1, 0], [0, 1], [1, 1]], [1, 1, 2], [nn.LogUtility()] * 2)\n"
         "aux = nn.build_auxiliary_graph(net)\n"
         "for check in (lambda: nn.spectral_radius(split),\n"
