@@ -112,17 +112,18 @@ def primal_direction(network: Network, hessian_diag, grad, w) -> NewtonDirection
     delta_s = -(g[:S] + pi) / H[:S]
     delta_y = -(network.routing @ delta_s)
     delta = np.concatenate([delta_s, delta_y])
-    return NewtonDirection(delta=delta, decrement=inexact_decrement(delta, H))
+    return NewtonDirection(delta=delta, decrement=float(inexact_decrement(delta, H)))
 
 
-def inexact_decrement(delta, hessian_diag) -> float:
-    """Curvature norm sqrt(sum_i delta_i^2 H_ii) of a direction."""
+def inexact_decrement(delta, hessian_diag):
+    """Curvature norm sqrt(sum_i delta_i^2 H_ii) along the last axis: of a
+    direction, or of each direction of a stack."""
     d = np.asarray(delta, dtype=float)
     H = np.asarray(hessian_diag, dtype=float)
-    return float(np.sqrt(np.add.reduce(d * d * H, axis=None)))
+    return np.sqrt(np.add.reduce(d * d * H, axis=-1))
 
 
 def exact_decrement(network: Network, hessian_diag, grad) -> float:
     """Decrement of the dense-oracle direction; diagnostic use only."""
     delta, _ = kkt_direction(network, hessian_diag, grad)
-    return inexact_decrement(delta, hessian_diag)
+    return float(inexact_decrement(delta, hessian_diag))

@@ -255,7 +255,7 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonSummary:
                 if method == "newton":
                     res = two_pass_solve(net, spec.newton_config())
                     row.counted_iters = res.total_dual_iters
-                    row.iters_to_band = _newton_band_entry(res, h_ref, 0.05)
+                    row.iters_to_band = _newton_band_entry(res, h_ref, FirstOrderConfig.band)
                     row.h_final = res.h_final
                     row.rel_error = res.relative_error(h_ref)
                     row.final_feasible = bool(

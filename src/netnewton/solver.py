@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auxgraph import AggregationBuffers, build_auxiliary_graph, compute_theta
-from .direction import primal_direction, stacked_kkt_direction
+from .direction import inexact_decrement, primal_direction, stacked_kkt_direction
 from .errorcontrol import DualControlConfig, PriceBuffers, run_dual_with_error_control
 from .metrics import MessageMetrics
 from .model import (
     FEASIBILITY_RTOL,
     BarrierProblem,
     Network,
+    PrimalVector,
     barrier_grad,
     barrier_hessian_diag,
     barrier_objective,
@@ -56,17 +57,13 @@ __all__ = [
     "trace_to_json",
 ]
 
-def _default_b(V: float) -> float:
-    lo = (V + 1.0) / (2.0 * V + 1.0)
-    return 0.5 * (lo + 1.0)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the distributed solve.
 
     V is the damped/unit-step switching threshold, b the damping constant
-    (must exceed (V+1)/(2V+1) to keep iterates strictly positive), p and
+    (must exceed (V+1)/(2V+1) to keep iterates strictly positive; by
+    default the midpoint of that bound and 1), p and
     epsilon the direction-error tolerances, T the stage-1 sweep budget
     (derived from the contraction factor when absent), theta_term the
     outer stopping threshold, and a the relative-error target of the
@@ -92,9 +89,9 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.V < 0.267:
             raise ValueError("V must lie in (0, 0.267)")
-        if self.b is None:
-            object.__setattr__(self, "b", _default_b(self.V))
         lo = (self.V + 1.0) / (2.0 * self.V + 1.0)
+        if self.b is None:
+            object.__setattr__(self, "b", 0.5 * (lo + 1.0))
         if not lo < self.b < 1.0:
             raise ValueError(f"b must lie in ({lo:.6f}, 1)")
         # Each check is written so that it also rejects NaN.
@@ -118,18 +115,18 @@ class SolverConfig:
             raise ValueError(f"|tau_noise| must not exceed {tau_cap:.6f}")
 
 
-def stepsize_rule(theta: float, damped_active: bool, V: float, b: float):
-    """Stepsize and updated phase flag.
+def stepsize_rule(theta, damped_active, V: float, b: float):
+    """Stepsizes and updated phase flags, elementwise over theta and the
+    flags (scalars or arrays of one shape).
 
     While the damped phase is alive and theta is at least V, the step is
     b / (theta + 1). The first time theta falls below V the phase latches
     to unit steps for good.
     """
-    if theta < 0:
+    if np.count_nonzero(theta < 0):
         raise ValueError("theta must be nonnegative")
-    if damped_active and theta >= V:
-        return b / (theta + 1.0), True
-    return 1.0, False
+    damped = damped_active & (theta >= V)
+    return np.where(damped, b / (theta + 1.0), 1.0), damped
 
 
 @dataclass
@@ -214,6 +211,7 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
         if config.tau_noise:
             theta = max(0.0, theta + config.tau_noise * math.cos(float(k)))
         d, damped_next = stepsize_rule(theta, damped, config.V, config.b)
+        d, damped_next = float(d), bool(damped_next)
         phase = "damped" if (damped and damped_next) else "quadratic"
         f, h = barrier_objective(x, S, mu, scale, value)
         rec = TraceRecord(
@@ -269,29 +267,25 @@ def _exact_newton(networks, x, mu: float, scale: float, tol: float) -> list:
     """The exact method on networks that share (L, S) and the utility
     layout, from a (T, S + L) stack of points x updated in place, at barrier
     weight mu and utility scale. Each step takes the dense exact direction
-    and the stepsize rule at the default V and b. A trial keeps its own
-    damped flag and leaves the stack when its decrement reaches tol or after
-    _REFERENCE_MAX_STEPS steps. Returns each trial's (k, decrement,
-    stepsize) rows."""
+    and the stepsize rule at the default V and b over the whole stack. A
+    trial keeps its own damped flag and leaves the stack when its decrement
+    reaches tol or after _REFERENCE_MAX_STEPS steps. Returns, per step, the
+    (decrements, stepsizes) of the trials still in the stack."""
     S = networks[0].num_sources
     A = np.stack([net.incidence for net in networks])
     groups = stack_utility_groups(networks)
     d1, d2 = group_method(groups, "d1"), group_method(groups, "d2")
-    V = SolverConfig.V
-    b = _default_b(V)
-    damped = [True] * len(x)
-    traces = [[] for _ in range(len(x))]
+    config = SolverConfig()
+    damped = np.ones(len(x), dtype=bool)
     active = np.arange(len(x))
-    for k in range(_REFERENCE_MAX_STEPS):
+    steps = []
+    for _ in range(_REFERENCE_MAX_STEPS):
         g = barrier_grad(x, S, mu, scale, d1)[active]
         H = barrier_hessian_diag(x, S, mu, scale, d2)[active]
         delta, _ = stacked_kkt_direction(A[active], H, g)
-        lam = np.sqrt(np.sum(delta * delta * H, axis=1))
-        d = np.empty(len(active))
-        for j, (t, lam_t) in enumerate(zip(active.tolist(), lam.tolist())):
-            step, damped[t] = stepsize_rule(lam_t, damped[t], V, b)
-            d[j] = step
-            traces[t].append((k, lam_t, step))
+        lam = inexact_decrement(delta, H)
+        d, damped[active] = stepsize_rule(lam, damped[active], config.V, config.b)
+        steps.append((lam, d))
         moving = ~(lam <= tol)
         active = active[moving]
         x[active] = x[active] + d[moving, None] * delta[moving]
@@ -299,7 +293,7 @@ def _exact_newton(networks, x, mu: float, scale: float, tol: float) -> list:
             raise AssertionError("reference iterate lost strict positivity")
         if not active.size:
             break
-    return traces
+    return steps
 
 
 def reference_solve(problem: BarrierProblem, x0=None, tol: float = 1e-12) -> SolveResult:
@@ -307,13 +301,14 @@ def reference_solve(problem: BarrierProblem, x0=None, tol: float = 1e-12) -> Sol
 
     Used as the high-accuracy reference the distributed method is compared
     against; the batch of one of the stacked steps of reference_optima.
-    Its trace rows are (k, decrement, stepsize).
+    A given start x0 must pass PrimalVector.checked. Its trace rows are
+    (k, decrement, stepsize).
     """
     net = problem.network
-    x = np.array(feasible_init(net).values if x0 is None else x0, dtype=float, ndmin=2)
-    if not np.all(x > 0):
-        raise ValueError("objective is only defined for strictly positive x")
-    trace = _exact_newton([net], x, problem.mu, problem.scale, tol)[0]
+    start = feasible_init(net) if x0 is None else PrimalVector.checked(net, x0)
+    x = np.array(start.values, ndmin=2)
+    steps = _exact_newton([net], x, problem.mu, problem.scale, tol)
+    trace = [(k, float(lam[0]), float(d[0])) for k, (lam, d) in enumerate(steps)]
     x = x[0]
     return SolveResult(
         x=x,
@@ -504,7 +499,7 @@ def phase_diagnostics(
     g = barrier_grad(xs, S, problem.mu, problem.scale, utility_method(net, "d1"))
     H = barrier_hessian_diag(xs, S, problem.mu, problem.scale, utility_method(net, "d2"))
     delta, _ = stacked_kkt_direction(net.incidence[None], H, g)
-    exact = np.sqrt(np.sum(delta * delta * H, axis=1)).tolist()
+    exact = inexact_decrement(delta, H).tolist()
     fvals = [eval_f(problem, rec.x) for rec in trace]
 
     # damped phase: guaranteed decrease constant

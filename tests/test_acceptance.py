@@ -10,7 +10,8 @@ criterion must pass at its stated tolerance.
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,10 +295,54 @@ def test_criterion_09_barrier_error(solve_batch):
     report(9, "barrier gaps within mu and two-pass error within 1%")
 
 
+STUDY_SPEC = ExperimentSpec(trials=50, links=15, sources=8, bernoulli_p=0.5, seed=7)
+# The study's every row and h_ref, as STUDY_SPEC gave them when the file
+# was made. Floats may drift by rounding across numpy and BLAS builds (by
+# at most 1.9e-15 relative so far), so they agree within GOLDEN_RTOL
+# relative. rel_error is itself a relative error of h, so it is compared
+# in its own units, within GOLDEN_RTOL absolute: a first-order row's is
+# about 1e-10, a difference of two values near h_ref, and a 1-ulp drift
+# of h_ref moves it by about 1e-6 of itself.
+GOLDEN_STUDY = Path(__file__).resolve().parent / "data" / "study_seed7.json"
+GOLDEN_RTOL = 1e-12
+
+
+def study_record(summary) -> dict:
+    """The study's h_refs and rows, every TrialRow field, as JSON values
+    (a float is written as its repr)."""
+    return json.loads(json.dumps(
+        {"h_refs": summary.h_refs, "rows": [asdict(row) for row in summary.rows]}
+    ))
+
+
+def assert_matches_golden_study(summary) -> None:
+    """Counts, flags and errors equal the golden file's; floats agree
+    within GOLDEN_RTOL (relative, and absolute for rel_error)."""
+    golden = json.loads(GOLDEN_STUDY.read_text())
+    record = study_record(summary)
+    versions = f"numpy {np.__version__} here, {golden['numpy']} in {GOLDEN_STUDY.name}"
+
+    def same(field, got, want):
+        if isinstance(got, float) and isinstance(want, float):
+            scale = 1.0 if field == "rel_error" else abs(want)
+            return abs(got - want) <= GOLDEN_RTOL * scale
+        return type(got) is type(want) and got == want
+
+    for trial, (got, want) in enumerate(zip(record["h_refs"], golden["h_refs"], strict=True)):
+        assert same("h_ref", got, want), f"trial {trial} h_ref: {got!r} != {want!r} ({versions})"
+    for row, want_row in zip(record["rows"], golden["rows"], strict=True):
+        assert row.keys() == want_row.keys(), (sorted(row), sorted(want_row))
+        for field, want in want_row.items():
+            assert same(field, row[field], want), (
+                f"trial {want_row['trial']} {want_row['method']} {field}: "
+                f"{row[field]!r} != {want!r} ({versions})"
+            )
+
+
 @pytest.mark.slow
 def test_criterion_10_comparison_study():
     started = time.perf_counter()
-    spec = ExperimentSpec(trials=50, links=15, sources=8, bernoulli_p=0.5, seed=7)
+    spec = STUDY_SPEC
     summary = run_comparison(spec)
     for method in spec.methods:
         assert summary.failures(method) == 0, summary.to_dict()["failures"]
@@ -314,6 +359,7 @@ def test_criterion_10_comparison_study():
         f"means newton={newton:.0f}, diagonal={diagonal:.0f}, "
         f"subgradient={subgrad:.0f} over 50 nets in {elapsed:.0f}s",
     )
+    assert_matches_golden_study(summary)
 
 
 def test_criterion_11_determinism(tmp_path):
@@ -343,3 +389,13 @@ def test_criterion_11_determinism(tmp_path):
         traces.append(trace.read_bytes() + js.read_bytes())
     assert traces[0] == traces[1]
     report(11, "identical seeds give byte-identical summaries and traces")
+
+
+if __name__ == "__main__":
+    # Rewrites the golden study file, a change of test data:
+    #     PYTHONPATH=src python tests/test_acceptance.py
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    doc = {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+    doc.update(study_record(run_comparison(STUDY_SPEC)))
+    GOLDEN_STUDY.parent.mkdir(exist_ok=True)
+    GOLDEN_STUDY.write_text(json.dumps(doc, indent=1) + "\n")

@@ -40,7 +40,6 @@ from netnewton.model import FEASIBILITY_RTOL, feasibility_residual
 from netnewton.solver import (
     SolveResult,
     TraceRecord,
-    _default_b,
     _quad_constants,
     trace_to_json,
     write_trace_csv,
@@ -74,7 +73,7 @@ class TestConfig:
             SolverConfig(mu=0.5)
 
     def test_tau_noise_cap(self):
-        cap = (1 / _default_b(0.12) - 1) * 1.12
+        cap = (1 / ((1.12 / 1.24 + 1) / 2) - 1) * 1.12
         with pytest.raises(ValueError):
             SolverConfig(tau_noise=cap * 1.01)
         SolverConfig(tau_noise=cap * 0.99)
@@ -107,6 +106,18 @@ class TestStepsizeRule:
     def test_latch_is_permanent(self):
         d, damped = stepsize_rule(5.0, False, 0.12, 0.95)
         assert d == 1.0 and not damped
+
+    def test_elementwise_over_a_stack(self):
+        # the exact loop steps a whole stack through one call: each entry
+        # gets the stepsize and flag of its own scalar call, bit for bit
+        theta = np.array([0.12, 0.119, 5.0, 0.0, 2.5])
+        active = np.array([True, True, False, True, True])
+        d, damped = stepsize_rule(theta, active, 0.12, 0.95)
+        for j in range(len(theta)):
+            d_j, damped_j = stepsize_rule(float(theta[j]), bool(active[j]), 0.12, 0.95)
+            assert d[j] == d_j and damped[j] == damped_j
+        with pytest.raises(ValueError, match="nonnegative"):
+            stepsize_rule(np.array([0.5, -1e-300]), True, 0.12, 0.95)
 
 
 class TestNewtonSolve:
@@ -296,6 +307,7 @@ def newton_solve_oracle(problem, config):
         if config.tau_noise:
             theta = max(0.0, theta + config.tau_noise * math.cos(float(k)))
         d, damped_next = stepsize_rule(theta, damped, config.V, config.b)
+        d, damped_next = float(d), bool(damped_next)
         phase = "damped" if (damped and damped_next) else "quadratic"
         trace.append(TraceRecord(
             k=k, f=eval_f(problem, x), h=eval_h(net, x), lambda_tilde=direction.decrement,
@@ -490,7 +502,7 @@ def reference_solve_oracle(problem, x0=None, tol=1e-12):
     one kkt_direction_oracle step at a time. Returns (x, trace, converged)
     with reference_solve's (k, decrement, stepsize) trace rows."""
     V = SolverConfig.V
-    b = _default_b(V)
+    b = SolverConfig().b
     x = feasible_init(problem.network).values.copy() if x0 is None else np.array(x0, dtype=float)
     damped = True
     trace = []
@@ -563,6 +575,16 @@ class TestReference:
                 x = reference_solve(prob, x0=x, tol=1e-10).x
                 x_or = reference_solve_oracle(prob, x0=x_or, tol=1e-10)[0]
                 np.testing.assert_array_equal(x, x_or)
+
+    def test_start_off_flow_conservation_rejected(self):
+        # a positive start whose slacks break flow conservation would
+        # converge to a point of another problem
+        net = random_network(15, 8, 0.5, 3)
+        x0 = feasible_init(net).values.copy()
+        x0[net.num_sources:] *= 3.0
+        assert np.all(x0 > 0)
+        with pytest.raises(ValueError, match="flow conservation"):
+            reference_solve(BarrierProblem(net, 1.0), x0=x0)
 
     def test_reference_exact_quadratic_tail(self, two_flow_network):
         # with exact directions the decrement square-contracts once small

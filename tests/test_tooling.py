@@ -91,6 +91,35 @@ def test_one_function_calls_the_dense_solve():
     assert callers == ["direction.py:stacked_kkt_direction"]
 
 
+def test_stepsize_rule_is_applied_once_per_loop():
+    # the stepsize rule is written once, elementwise: the distributed loop
+    # calls it once per step, and the exact loop once per step of its whole
+    # stack, with its step loop as its only loop statement and no loop
+    # over trials inside it
+    package = Path(netnewton.__file__).resolve().parent
+    funcs = {
+        f"{path.name}:{func.name}": func
+        for path in sorted(package.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    callers = [
+        name
+        for name, func in funcs.items()
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[-1] == "stepsize_rule"
+    ]
+    assert sorted(callers) == ["solver.py:_exact_newton", "solver.py:newton_solve"]
+    statements = (ast.For, ast.AsyncFor, ast.While)
+    loops = [node for node in ast.walk(funcs["solver.py:_exact_newton"])
+             if isinstance(node, statements)]
+    assert [type(node).__name__ for node in loops] == ["For"]
+    inner = [node for node in ast.walk(loops[0])
+             if isinstance(node, (*statements, ast.comprehension)) and node is not loops[0]]
+    assert inner == []
+
+
 def test_one_function_calls_the_eigensolve():
     # each primal step takes its contraction factor from one eigensolve, in
     # spectral_radius, which the spectral report shares
