@@ -60,18 +60,18 @@ class FirstOrderConfig:
 
     def __post_init__(self):
         # Each check is written so that it also rejects NaN.
-        if not self.stepsize > 0:
-            raise ValueError("stepsize must be positive")
+        for name in ("stepsize", "curvature_floor", "rate_cap"):
+            value = getattr(self, name)
+            if not ((name == "rate_cap" and value is None) or 0 < value < np.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         for name in ("max_iters", "stable_window"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (self.max_iters >= 1 and self.stable_window >= 1):
             raise ValueError("max_iters and stable_window must be at least 1")
-        if not (self.band > 0 and self.curvature_floor > 0):
-            raise ValueError("band and curvature_floor must be positive")
-        if self.rate_cap is not None and not self.rate_cap > 0:
-            raise ValueError("rate_cap must be positive")
+        if not self.band > 0:
+            raise ValueError("band must be positive")
         if not self.rel_change_tol >= 0:
             raise ValueError("rel_change_tol must be non-negative")
 
@@ -122,9 +122,9 @@ def band_entry(history, h_ref: float, band: float) -> int | None:
 
 def _cap_assignment_is_noop(inverse_d1, num_sources: int, cap: float) -> bool:
     """True when every source's clamped response at the route price 1e-12
-    is already cap. A source whose route price is at most 1e-12 is priced
-    at exactly 1e-12, and inverse_d1 is elementwise, so assigning it cap
-    then changes no rate."""
+    is already cap. inverse_d1 is elementwise and nonincreasing, also
+    after rounding, so at every route price in [0, 1e-12] the clamped
+    response is cap too, and assigning cap changes no rate."""
     with np.errstate(all="ignore"):
         at_floor = inverse_d1(np.full(num_sources, 1e-12))
     return bool((np.minimum(np.maximum(at_floor, 0.0), cap) == cap).all())
@@ -134,21 +134,27 @@ def _best_response(network: Network, cap: float):
     """The function (prices, out) -> rates maximizing utility minus route
     price, clamped to [0, cap], written into out. A source whose route
     price is at most 1e-12 gets cap, as np.where(route_price > 1e-12,
-    clamp, cap) would give for every finite route price. The operands and
-    buffers are bound once, so each call only runs its ufuncs."""
+    clamp, cap) would give for every finite route price: by the cap
+    assignment, or where _cap_assignment_is_noop skips it, by itself, so
+    no price needs a floor. The product, ufuncs, operands and buffers are
+    bound once, and each call skips the clamps that cannot change a rate."""
     S = network.num_sources
-    R_T = network.routing.T
+    route_dot = network.routing.T.dot
     inverse_d1 = utility_method(network, "inverse_d1")
+    maximum, minimum = np.maximum, np.minimum
     zero, tiny, cap_0d = np.array(0.0), np.array(1e-12), np.array(cap)
-    route_price, clamped = np.empty(S), np.empty(S)
+    route_price = np.empty(S)
     vanishing = np.empty(S, dtype=bool)
+    # the clamp at 0 stays unless every family's response is nonnegative (NaN passes it)
+    clamp = not all(getattr(u, "nonnegative_response", False) for _, u in network.utility_groups)
     assign_cap = not _cap_assignment_is_noop(inverse_d1, S, cap)
 
     def best_response(prices, out):
-        np.dot(R_T, prices, route_price)
-        np.maximum(route_price, tiny, out=clamped)
-        np.maximum(inverse_d1(clamped), zero, out=out)
-        np.minimum(out, cap_0d, out=out)
+        route_dot(prices, route_price)
+        response = inverse_d1(route_price)
+        if clamp:
+            response = maximum(response, zero, out=out)
+        minimum(response, cap_0d, out=out)
         if assign_cap:
             np.less_equal(route_price, tiny, vanishing)
             out[vanishing] = cap
@@ -166,16 +172,18 @@ def _price_iteration(
     slack, the divergence test and the stopping rule over the block's rows,
     so it stops on the same iterate as a check after every update would.
     Everything an iterate uses (the best response, the bound utility
-    methods, R, its scalar operands as 0-d arrays, its temporaries, the
-    rows it writes) is bound once per solve; each product and ufunc call
-    writes into a preallocated buffer, and only the utility methods
-    allocate."""
-    R = network.routing
+    methods, the product R.dot, the ufuncs, its scalar operands as 0-d
+    arrays, its temporaries, the rows it writes) is bound once per solve;
+    each product and ufunc call writes into a preallocated buffer, and
+    only the utility methods allocate."""
+    load_dot = network.routing.dot
     c = network.capacities
     L, S = network.num_links, network.num_sources
     cap = config.rate_cap if config.rate_cap is not None else 2.0 * float(c.max())
     best_response = _best_response(network, cap)
     d2 = utility_method(network, "d2") if scaled else None
+    add, subtract, multiply, divide, maximum = (
+        np.add, np.subtract, np.multiply, np.divide, np.maximum)
     zero, minus_one = np.array(0.0), np.array(-1.0)
     stepsize, floor = np.array(config.stepsize), np.array(config.curvature_floor)
     load, step, curv = np.empty(L), np.empty(L), np.empty(L)
@@ -199,16 +207,16 @@ def _price_iteration(
         with np.errstate(all="ignore"):
             for s, o, p in rows[:n]:
                 best_response(w, s)
-                np.dot(R, s, load)
-                np.subtract(load, c, o)
-                np.multiply(stepsize, o, step)
+                load_dot(s, load)
+                subtract(load, c, o)
+                multiply(stepsize, o, step)
                 if scaled:
-                    np.divide(minus_one, d2(s), inv_curv)
-                    np.dot(R, inv_curv, curv)
-                    np.maximum(curv, floor, out=curv)
-                    np.divide(step, curv, step)
-                np.add(w, step, step)
-                w = np.maximum(zero, step, out=p)
+                    divide(minus_one, d2(s), inv_curv)
+                    load_dot(inv_curv, curv)
+                    maximum(curv, floor, out=curv)
+                    divide(step, curv, step)
+                add(w, step, step)
+                w = maximum(zero, step, out=p)
         finite = prices[:n].max(axis=1) <= 1e12  # also catches nan
         m = n if finite.all() else int(np.argmin(finite))  # rows before divergence
         values = utility_terms(network, "value", np.maximum(rates[:m], 1e-300))
@@ -236,10 +244,12 @@ def _price_iteration(
             )
         h_prev = h[-1]
     w = prices[m - 1].copy()
+    with np.errstate(divide="ignore"):  # a log utility's response to a price of 0 is inf
+        final = best_response(w, np.empty(S))
     h_arr = np.concatenate(h_blocks)
     entry = None if h_ref is None else band_entry(h_arr, h_ref, config.band)
     return FirstOrderResult(
-        rates=best_response(w, np.empty(S)),
+        rates=final,
         prices=w,
         objective_history=h_arr,
         min_slack_history=np.concatenate(slack_blocks),

@@ -64,6 +64,7 @@ class LogUtility:
     weight: float = 1.0
 
     family = "log"
+    nonnegative_response = True  # inverse_d1 is the weight (at least 1) over the price
 
     def value(self, s):
         return self.weight * np.log(s)

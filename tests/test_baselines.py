@@ -214,6 +214,9 @@ class TestSharedBehavior:
         *((field, float("nan")) for field in (
             "stepsize", "max_iters", "stable_window", "band", "rel_change_tol",
             "curvature_floor", "rate_cap")),
+        # an infinite stepsize or cap diverges at once, blaming the stepsize;
+        # an infinite floor freezes the diagonal prices at 0
+        *((field, float("inf")) for field in ("stepsize", "curvature_floor", "rate_cap")),
     ])
     def test_unrunnable_settings_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -374,6 +377,18 @@ class TestCapAssignment:
         assert self.cap_assignment_skipped(net, cfg) is skipped
         expected = oracle_price_iteration(net, cfg, None, scaled)
         assert_same_run(_price_iteration(net, cfg, None, scaled), expected)
+
+    def test_zero_route_price_gives_cap_without_warning(self, unit_link):
+        # a cap below the capacity never overloads the link, so the price
+        # stays 0, where the log response is inf before the cap; the final
+        # best response runs outside the loop's error state
+        cfg = FirstOrderConfig(stepsize=0.01, max_iters=100, rate_cap=0.5)
+        assert self.cap_assignment_skipped(unit_link, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = subgradient_solve(unit_link, cfg)
+        assert res.prices.tolist() == [0.0] and res.rates.tolist() == [0.5]
+        assert_same_run(res, oracle_price_iteration(unit_link, cfg, None, False))
 
 
 def test_study_trial_counts_pinned():

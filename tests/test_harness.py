@@ -307,6 +307,17 @@ class TestCli:
         assert main(["compare", str(spec)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
 
+    @pytest.mark.parametrize("method", ["diagonal", "subgradient"])
+    def test_infinite_stepsize_spec_rejected(self, tmp_path, capsys, method):
+        # JSON's Infinity reads as a float; the row would run and report a
+        # divergence at step 1, blaming a stepsize the spec set to infinity
+        spec = tmp_path / "spec.json"
+        spec.write_text(f'{{"trials": 1, "seed": 7, "methods": ["{method}"], '
+                        f'"{method}_stepsize": Infinity}}')
+        assert main(["compare", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "stepsize must be positive and finite" in err
+
     @pytest.mark.parametrize("flag", ["--a", "--mu", "--epsilon", "--theta-term"])
     def test_nan_parameter_rejected(self, capsys, example_file, flag):
         assert main(["solve", str(example_file), "--two-pass", flag, "nan"]) == 2

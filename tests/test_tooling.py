@@ -120,6 +120,23 @@ def test_stepsize_rule_is_applied_once_per_loop():
     assert inner == []
 
 
+def test_first_order_update_runs_bound_products_and_one_best_response():
+    # each price update runs the products bound once per solve (R.dot and
+    # R.T.dot), without a frame of np.dot's dispatcher; one best response,
+    # _best_response, serves the loop and the final rates, and one loop
+    # serves every utility layout
+    tree = ast.parse(Path(netnewton.baselines.__file__).read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "np.dot"] == []
+    funcs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    responders = [func.name for func in funcs for node in ast.walk(func)
+                  if isinstance(node, ast.Constant) and node.value == "inverse_d1"]
+    assert responders == ["_best_response"]
+    loopers = {func.name for func in funcs for node in ast.walk(func)
+               if isinstance(node, (ast.For, ast.While))}
+    assert loopers == {"_price_iteration"}
+
+
 def test_one_function_calls_the_eigensolve():
     # each primal step takes its contraction factor from one eigensolve, in
     # spectral_radius, which the spectral report shares
