@@ -25,7 +25,6 @@ from .model import InvalidNetworkError, Network, _frozen, _graph_diameter
 
 __all__ = [
     "AuxiliaryGraph",
-    "AggregationBuffers",
     "SummationRun",
     "build_auxiliary_graph",
     "distributed_sum",
@@ -220,8 +219,7 @@ class SummationRun:
 
 
 def distributed_sum(
-    network: Network, aux: AuxiliaryGraph, y_star, z_star, rounds: int | None = None,
-    out=None,
+    network: Network, aux: AuxiliaryGraph, y_star, z_star, rounds: int | None = None
 ) -> SummationRun:
     """Run synchronous rounds of the two-rule aggregation (S by default).
 
@@ -236,9 +234,7 @@ def distributed_sum(
 
         sum_i y_star_i + sum_l |S(l)| * z_star_l.
 
-    Further rounds leave these values unchanged. With out, a pair of
-    (rounds + 1, S) and (rounds + 1, L) float arrays, the histories are
-    written into it.
+    Further rounds leave these values unchanged.
     """
     S, L = network.num_sources, network.num_links
     ys = np.asarray(y_star, dtype=float)
@@ -251,9 +247,7 @@ def distributed_sum(
     # Round t writes row t of each history in place; over_y and over_z
     # take the over-counted part of row t - 1 before it is subtracted.
     # ndarray.dot runs the BLAS product of `@` and takes out more cheaply.
-    y_hist, z_hist = (np.empty((n + 1, S)), np.empty((n + 1, L))) if out is None else out
-    if y_hist.shape != (n + 1, S) or z_hist.shape != (n + 1, L):
-        raise ValueError("histories must hold rounds + 1 rows")
+    y_hist, z_hist = np.empty((n + 1, S)), np.empty((n + 1, L))
     over_y, over_z = np.empty(S), np.empty(L)
     np.add(ys, network.routing.T @ zs, y_hist[0])
     z_hist[0] = 0.0
@@ -269,47 +263,27 @@ def distributed_sum(
     return SummationRun(y_hist, z_hist, rounds=n)
 
 
-class AggregationBuffers:
-    """The arrays compute_theta writes the aggregations of one network
-    shape and companion-graph diameter into: scratch only, the inputs and
-    the histories of aux.diameter + 1 rounds. A Newton solve allocates
-    them once for all its primal steps."""
-
-    def __init__(self, network: Network, aux: AuxiliaryGraph):
-        S, L = network.num_sources, network.num_links
-        rounds = aux.diameter + 1
-        self.star = np.empty(S + L)  # y_star then z_star
-        # one array, so that the final values of sources and links are one row
-        self.history = np.empty((rounds + 1, S + L))
-        self.histories = (self.history[:, :S], self.history[:, S:])
-        self.spread = np.empty(S + L)
-
-
-def compute_theta(network: Network, aux: AuxiliaryGraph, delta, hessian_diag, out=None):
+def compute_theta(network: Network, aux: AuxiliaryGraph, delta, hessian_diag):
     """Stepsize scalar: the decrement recovered from the aggregation.
 
     Feeds the squared, curvature-weighted direction entries through
     aux.diameter + 1 rounds of distributed_sum, the fewest that reach
     every participant, and takes the square root of the common value. With
     this path the stepsize scalar equals the decrement exactly (up to
-    float roundoff), so the decrement-approximation error is zero. With
-    out (AggregationBuffers of a network of this shape and diameter) the
-    aggregation runs in it.
+    float roundoff), so the decrement-approximation error is zero.
 
     Returns (theta, rounds).
     """
     H = np.asarray(hessian_diag, dtype=float)
     d = np.asarray(delta, dtype=float)
     S = network.num_sources
-    b = AggregationBuffers(network, aux) if out is None else out
-    star = np.multiply(np.square(d, b.star), H, b.star)
+    star = np.multiply(np.square(d), H)
     y_star, z_star = star[:S], star[S:]
     np.divide(z_star, network.crossing_counts, z_star)
-    run = distributed_sum(network, aux, y_star, z_star, rounds=aux.diameter + 1,
-                          out=b.histories)
-    final = b.history[-1]  # run.y_final, then run.z_final
+    run = distributed_sum(network, aux, y_star, z_star, rounds=aux.diameter + 1)
+    final = np.concatenate((run.y_final, run.z_final))
     total = final[0]
-    spread = np.maximum.reduce(np.absolute(np.subtract(final, total, b.spread), b.spread))
+    spread = np.maximum.reduce(np.absolute(final - total))
     if not spread <= 1e-9 * max(abs(total), 1.0):
         raise AssertionError("aggregation values disagree")
     if not total >= -1e-12:

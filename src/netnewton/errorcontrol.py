@@ -9,13 +9,12 @@ accepts when the certified relative error is within p. Otherwise stage 2
 derives a sup-norm threshold on consecutive price changes that caps the
 remaining absolute error by epsilon, and iterates until it is met.
 
-A solve writes its sweeps and tests through PriceBuffers, scratch
-vectors that a Newton solve allocates once for all its primal steps,
-and tests every stage-2 sweep before it runs the next. Sweeping ahead in
-blocks, as the first-order loop does with its 256-row blocks, would make
-the test cheaper per sweep, but would execute sweeps past the accepted
-one that the certificate, the message charge and the traced sweep count
-never see.
+A solve allocates its own scratch, two price vectors that the sweeps
+write into in turn, and tests every stage-2 sweep before it runs the
+next. Sweeping ahead in blocks, as the first-order loop does with its
+256-row blocks, would make the test cheaper per sweep, but would execute
+sweeps past the accepted one that the certificate, the message charge
+and the traced sweep count never see.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .splitting import SplittingData, dual_step_matrix
 __all__ = [
     "ErrorCertificate",
     "DualControlConfig",
-    "PriceBuffers",
     "stage1_beta",
     "stage2_h",
     "max_consensus",
@@ -199,27 +197,12 @@ def max_consensus(values, neighbors, rounds: int | None = None):
     return v, used
 
 
-class PriceBuffers:
-    """The vectors run_dual_with_error_control writes the price solves of
-    one network shape through: scratch only, so that every operand comes
-    from the network solved. A Newton solve allocates them once for all
-    its primal steps."""
-
-    def __init__(self, network: Network):
-        S, L = network.num_sources, network.num_links
-        self.prices = (np.empty(L), np.empty(L))
-        self.change = np.empty(L)
-        # Pi0 and Pi_t, each followed by its link sums
-        self.num, self.agg = np.empty(S + L), np.empty(S + L)
-
-
 def run_dual_with_error_control(
     network: Network,
     hessian_diag,
     split: SplittingData,
     cfg: DualControlConfig,
     warm_start_w=None,
-    out=None,
 ):
     """Iterate prices until the direction-error tolerance is certified.
 
@@ -234,21 +217,19 @@ def run_dual_with_error_control(
     together.
 
     split is the splitting of the dual system at the current primal point
-    (build_splitting of hessian_diag and the gradient). With out (the
-    PriceBuffers of a network of this shape) the solve runs in it, and the
-    returned prices are one of its vectors, valid until its next solve;
-    the warm start may be that vector.
+    (build_splitting of hessian_diag and the gradient). The warm start is
+    copied, never written.
 
     Returns (accepted prices, ErrorCertificate); the certificate counts
     the sweeps and the max-consensus passes the solve executed.
     """
     H = np.asarray(hessian_diag, dtype=float)
-    b = PriceBuffers(network) if out is None else out
-    S = network.num_sources
+    S, L = network.num_sources, network.num_links
     H_src = H[:S]
     R, R_t, pi0 = network.routing, network.routing.T, network.route_lengths
-    # Pi0 = pi0 / H and its link sums serve every retest and threshold
-    num, agg = b.num, b.agg
+    # Pi0 = pi0 / H and its link sums serve every retest and threshold;
+    # agg takes Pi_t and its link sums at each retest
+    num, agg = np.empty(S + L), np.empty(S + L)
     big_pi0, big_pi = num[:S], agg[:S]
     R.dot(np.divide(pi0, H_src, big_pi0), num[S:])
 
@@ -256,16 +237,12 @@ def run_dual_with_error_control(
         R.dot(np.divide(R_t.dot(w_prev, big_pi), H_src, big_pi), agg[S:])
         return stage1_beta(network, w_prev, w_cur, num, agg, cfg.F, cfg.p)
 
-    # Each sweep writes into the buffer holding the iterate before w_prev,
+    # Each sweep writes into the vector holding the iterate before w_prev,
     # and `change` takes the stage-2 test.
-    w_prev, w_cur = b.prices
-    change = b.change
+    w_prev = np.ones(L) if warm_start_w is None else np.array(warm_start_w, dtype=float)
+    w_cur = dual_step_matrix(split, w_prev)
+    change = np.empty(L)
     subtract, absolute = np.subtract, np.absolute
-    if warm_start_w is None:
-        w_prev.fill(1.0)
-    else:
-        np.copyto(w_prev, warm_start_w)
-    dual_step_matrix(split, w_prev, w_cur)
     for _ in range(cfg.T - 1):
         w_prev, w_cur = w_cur, dual_step_matrix(split, w_cur, w_prev)
     steps = cfg.T

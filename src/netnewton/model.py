@@ -371,10 +371,11 @@ class BarrierProblem:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.mu >= 0:
-            raise ValueError("mu must be nonnegative")
-        if not self.scale > 0:
-            raise ValueError("objective scale must be positive")
+        # Each check is written so that it also rejects NaN and infinity.
+        if not 0 <= self.mu < np.inf:
+            raise ValueError(f"mu must be nonnegative and finite, got {self.mu!r}")
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"objective scale must be positive and finite, got {self.scale!r}")
 
 
 @dataclass(frozen=True)
@@ -397,10 +398,11 @@ class PrimalVector:
         x = np.asarray(values, dtype=float)
         if x.shape != (network.num_sources + network.num_links,):
             raise ValueError("primal vector has the wrong length")
-        if np.any(x <= 0):
-            raise ValueError("primal vector must be strictly positive")
+        # Each check is written so that it also rejects NaN.
+        if not np.all((x > 0) & (x < np.inf)):
+            raise ValueError("primal vector must be finite and strictly positive")
         resid = feasibility_residual(network, x)
-        if resid > rtol:
+        if not resid <= rtol:
             raise ValueError(f"flow conservation violated: residual {resid:.3e}")
         return cls(_frozen(x), network.num_sources)
 

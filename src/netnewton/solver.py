@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxgraph import AggregationBuffers, build_auxiliary_graph, compute_theta
+from .auxgraph import build_auxiliary_graph, compute_theta
 from .direction import inexact_decrement, primal_direction, stacked_kkt_direction
-from .errorcontrol import DualControlConfig, PriceBuffers, run_dual_with_error_control
+from .errorcontrol import DualControlConfig, run_dual_with_error_control
 from .metrics import MessageMetrics
 from .model import (
     FEASIBILITY_RTOL,
@@ -94,17 +94,18 @@ class SolverConfig:
             object.__setattr__(self, "b", 0.5 * (lo + 1.0))
         if not lo < self.b < 1.0:
             raise ValueError(f"b must lie in ({lo:.6f}, 1)")
-        # Each check is written so that it also rejects NaN.
-        if not self.mu >= 1.0:
-            raise ValueError("the solver requires mu >= 1")
+        # Each check is written so that it also rejects NaN and infinity.
+        if not 1.0 <= self.mu < np.inf:
+            raise ValueError(f"the solver requires a finite mu >= 1, got {self.mu!r}")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie in (0, 1)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not self.theta_term >= 0:
-            raise ValueError("theta_term must be non-negative")
-        if not self.a > 0:
-            raise ValueError("two-pass target a must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if not 0 <= self.theta_term < np.inf:
+            raise ValueError(
+                f"theta_term must be non-negative and finite, got {self.theta_term!r}")
+        if not 0 < self.a < np.inf:
+            raise ValueError(f"two-pass target a must be positive and finite, got {self.a!r}")
         iters = self.max_primal_iters
         if isinstance(iters, bool) or not isinstance(iters, numbers.Integral):
             raise ValueError(f"max_primal_iters must be an integer, got {iters!r}")
@@ -183,12 +184,10 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
     metrics.aux_construction_rounds = aux.rounds
     x = feasible_init(net).values.copy()
     resid = feasibility_residual(net, x)
-    # Bound once per solve: the utility methods, and the split, price and
-    # aggregation buffers that every step overwrites.
+    # Bound once per solve: the utility methods. Each step's layers
+    # allocate their own scratch, so no step reads what another left.
     mu, scale = problem.mu, problem.scale
     value, d1, d2 = (utility_method(net, m) for m in ("value", "d1", "d2"))
-    split, price_out = None, PriceBuffers(net)
-    sum_out = AggregationBuffers(net, aux)
     w_warm = np.ones(net.num_links)
     damped = True
     trace: list[TraceRecord] = []
@@ -198,15 +197,15 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
         consensus_start = metrics.consensus_rounds
         g = barrier_grad(x, S, mu, scale, d1)
         H = barrier_hessian_diag(x, S, mu, scale, d2)
-        split = build_splitting(net, H, g, split)
+        split = build_splitting(net, H, g)
         # no max cut per step: its exhaustive 2^(L-1) enumeration would dominate
         spectra = spectral_diagnostics(split, max_cut_limit=0) if config.record_spectra else None
         lam1 = spectral_radius(split) if spectra is None else spectra.lambda1
         dual_cfg = DualControlConfig.from_lambda1(lam1, config.p, config.epsilon, config.T)
-        w, cert = run_dual_with_error_control(net, H, split, dual_cfg, w_warm, price_out)
+        w, cert = run_dual_with_error_control(net, H, split, dual_cfg, w_warm)
         metrics.count_price_solve(net, cert)
         direction = primal_direction(net, H, g, w)
-        theta, sum_rounds = compute_theta(net, aux, direction.delta, H, sum_out)
+        theta, sum_rounds = compute_theta(net, aux, direction.delta, H)
         metrics.summation_rounds += sum_rounds
         if config.tau_noise:
             theta = max(0.0, theta + config.tau_noise * math.cos(float(k)))

@@ -82,46 +82,35 @@ def _checked_hessian(hessian_diag, grad, n: int, ndim: int = 1):
     return H, g
 
 
-def build_splitting(network: Network, hessian_diag, grad, out=None) -> SplittingData:
+def build_splitting(network: Network, hessian_diag, grad) -> SplittingData:
     """The split of the dual system at the point with this Hessian diagonal
-    and gradient, each piece computed once. With out (an earlier split of a
-    network of the same shape, from build_splitting) the pieces are written
-    into its arrays and out is returned; otherwise into new arrays."""
+    and gradient, each piece computed once into new arrays."""
     L = network.num_links
     H, g = _checked_hessian(hessian_diag, grad, network.num_sources + L)
-    if out is None:
-        view = np.empty((L, L)).view()
-        view.setflags(write=False)
-        out = SplittingData(
-            dk=np.empty(L), bk=np.empty((L, L)), bbar=np.empty(L), rhs=np.empty(L),
-            denom=np.empty(L), iteration_matrix=view, offset=np.empty(L))
-    dk, bk, bbar, rhs, denom, offset = (
-        out.dk, out.bk, out.bbar, out.rhs, out.denom, out.offset)
-    m = out.iteration_matrix.base  # the writable array behind the read-only view
-    if m is None:
-        raise ValueError("out must be a split that build_splitting made")
     A = network.incidence
     scaled = np.multiply(A, np.divide(1.0, H))  # A H^-1, then its negation
-    scaled.dot(A.T, bk)  # A H^-1 A', whose diagonal is dk
+    bk = scaled.dot(A.T)  # A H^-1 A', whose diagonal is dk
     np.negative(scaled, scaled)
-    scaled.dot(g, rhs)
+    rhs = scaled.dot(g)
     bk_diag = bk.reshape(-1)[:: L + 1]
-    np.copyto(dk, bk_diag)
-    np.subtract(bk_diag, dk, bk_diag)  # G - diag(dk) on the diagonal
-    np.add.reduce(bk, axis=1, out=bbar)
+    dk = bk_diag.copy()
+    bk_diag -= dk  # G - diag(dk) on the diagonal
+    bbar = bk.sum(axis=1)
 
     # D + 2 Bbar - B must be strictly diagonally dominant with a positive
     # diagonal; this is what guarantees the iteration matrix is a contraction.
     # The row sums of |off-diagonal of Q| equal bbar.
     if not np.logical_and.reduce(dk + 2.0 * bbar > bbar):
         raise AssertionError("splitting lost strict diagonal dominance")
-    np.add(dk, bbar, denom)
-    # diag(bbar) - bk: 0 - bk off the diagonal, bbar - 0 on it
-    np.subtract(0.0, bk, m)
-    np.copyto(m.reshape(-1)[:: L + 1], bbar)
-    np.divide(m, denom[:, None], m)
-    np.divide(rhs, denom, offset)
-    return out
+    denom = dk + bbar
+    # diag(bbar) - bk: 0 - bk off the diagonal (+0.0 where -bk would give
+    # -0.0), bbar - 0 on it
+    m = 0.0 - bk
+    m.reshape(-1)[:: L + 1] = bbar
+    m /= denom[:, None]
+    m.setflags(write=False)
+    return SplittingData(dk=dk, bk=bk, bbar=bbar, rhs=rhs, denom=denom,
+                         iteration_matrix=m, offset=rhs / denom)
 
 
 def dual_step_matrix(split: SplittingData, w, out=None) -> np.ndarray:

@@ -12,7 +12,6 @@ from netnewton import (
     distributed_sum,
     inexact_decrement,
 )
-from netnewton.auxgraph import AggregationBuffers
 
 from conftest import draw_network, random_positive_state
 
@@ -245,13 +244,12 @@ class TestComputeTheta:
         assert theta == 0.0
 
     def test_buffered_aggregation_matches_the_allocating_form(self):
-        # one set of buffers serves every step of a solve; theta keeps the
-        # bits of the form that allocated its inputs and histories
+        # compute_theta writes its inputs in place; theta keeps the bits of
+        # the square root of the sum distributed_sum aggregates
         rng = np.random.default_rng(12)
         for _ in range(15):
             net = draw_network(rng)
             aux = build_auxiliary_graph(net)
-            buffers = AggregationBuffers(net, aux)
             S = net.num_sources
             for _ in range(3):
                 _, H, _ = random_positive_state(net, rng)
@@ -261,6 +259,5 @@ class TestComputeTheta:
                 z_star = delta[S:] ** 2 * H[S:] / net.crossing_counts
                 run = distributed_sum(net, aux, y_star, z_star, rounds=aux.diameter + 1)
                 expected = math.sqrt(max(run.y_final[0], 0.0))
-                for out in (buffers, None):
-                    theta, rounds = compute_theta(net, aux, delta, H, out)
-                    assert (repr(theta), rounds) == (repr(expected), aux.diameter + 1)
+                theta, rounds = compute_theta(net, aux, delta, H)
+                assert (repr(theta), rounds) == (repr(expected), aux.diameter + 1)

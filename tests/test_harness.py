@@ -300,6 +300,8 @@ class TestCli:
         {"trials": 1, "a": True},
         {"trials": 1, "omega_range": [5.0, True]},
         {"trials": 1, "diagonal_stepsize": True},
+        # json writes infinity as Infinity, which it reads back as a float
+        {"trials": 1, "a": float("inf")},
     ])
     def test_malformed_spec_rejected(self, tmp_path, capsys, doc):
         spec = tmp_path / "spec.json"
@@ -322,6 +324,17 @@ class TestCli:
     def test_nan_parameter_rejected(self, capsys, example_file, flag):
         assert main(["solve", str(example_file), "--two-pass", flag, "nan"]) == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+    # an infinite target is vacuous and an infinite mu breaks the Hessian;
+    # each is refused up front with a message that names it
+    @pytest.mark.parametrize("flag, name", [
+        ("--a", "target a must"), ("--mu", "finite mu"), ("--epsilon", "epsilon must"),
+        ("--theta-term", "theta_term must"),
+    ])
+    def test_infinite_parameter_rejected(self, capsys, example_file, flag, name):
+        assert main(["solve", str(example_file), "--two-pass", flag, "inf"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and name in err and "finite" in err
 
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_nonpositive_max_iters_rejected(self, capsys, example_file, cap):

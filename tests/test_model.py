@@ -366,6 +366,13 @@ class TestPrimalVector:
         with pytest.raises(ValueError, match="flow"):
             PrimalVector.checked(two_flow_network, np.ones(7))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_checked_rejects_non_finite(self, two_flow_network, bad):
+        x = feasible_init(two_flow_network).values.copy()
+        x[0] = bad
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            PrimalVector.checked(two_flow_network, x)
+
     def test_residual_zero_at_init(self, two_flow_network):
         x0 = feasible_init(two_flow_network)
         assert feasibility_residual(two_flow_network, x0.values) == 0.0
@@ -441,3 +448,9 @@ class TestBarrierProblem:
     def test_nonpositive_scale_rejected(self, tiny_network):
         with pytest.raises(ValueError):
             BarrierProblem(tiny_network, scale=0.0)
+
+    @pytest.mark.parametrize("field", ["mu", "scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, tiny_network, field, value):
+        with pytest.raises(ValueError, match=field):
+            BarrierProblem(tiny_network, **{field: value})

@@ -28,13 +28,9 @@ from netnewton import (
     stepsize_rule,
     two_pass_solve,
 )
-from netnewton.auxgraph import AggregationBuffers, build_auxiliary_graph, compute_theta
+from netnewton.auxgraph import build_auxiliary_graph, compute_theta
 from netnewton.direction import primal_direction
-from netnewton.errorcontrol import (
-    DualControlConfig,
-    PriceBuffers,
-    run_dual_with_error_control,
-)
+from netnewton.errorcontrol import DualControlConfig, run_dual_with_error_control
 from netnewton.metrics import MessageMetrics
 from netnewton.model import FEASIBILITY_RTOL, feasibility_residual
 from netnewton.solver import (
@@ -46,7 +42,7 @@ from netnewton.solver import (
 )
 from netnewton.splitting import build_splitting, spectral_diagnostics
 
-from conftest import draw_network, init_state
+from conftest import draw_network
 from test_direction import kkt_direction_oracle
 
 
@@ -81,8 +77,10 @@ class TestConfig:
     @pytest.mark.parametrize("field", ["mu", "p", "epsilon", "V", "b", "theta_term", "a",
                                        "tau_noise", "max_primal_iters"])
     def test_nan_rejected(self, field):
-        with pytest.raises(ValueError):
-            SolverConfig(**{field: float("nan")})
+        # and infinity, which would make a target vacuous
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SolverConfig(**{field: value})
 
     # a fractional cap cannot bound the primal loop; a bool or a string is not a count
     @pytest.mark.parametrize("cap", [0, -3, 2.5, True, "3"])
@@ -278,8 +276,7 @@ def newton_calls(monkeypatch):
 
 def newton_solve_oracle(problem, config):
     """Test oracle for newton_solve: the loop as it was before the per-solve
-    binding. Every step evaluates through the public eval_* functions and
-    runs each layer without buffers, so each allocates its own arrays."""
+    binding. Every step evaluates through the public eval_* functions."""
     net = problem.network
     S = net.num_sources
     aux = build_auxiliary_graph(net)
@@ -377,32 +374,6 @@ class TestNewtonOracle:
         for scale in (3.0, 1e3):
             assert_matches_newton_oracle(BarrierProblem(study_network(2), 1.0, scale),
                                          SolverConfig())
-
-
-class TestStepBuffers:
-    def test_buffers_of_another_network_change_no_result(self):
-        # the split, price and aggregation buffers a solve reuses hold no
-        # operand of the network they were made for: run in those of
-        # another network of the same shape, every output is a fresh build's
-        net, other = random_network(15, 8, 0.5, 1), random_network(15, 8, 0.5, 2)
-        aux, aux_other = build_auxiliary_graph(net), build_auxiliary_graph(other)
-        assert aux.diameter == aux_other.diameter
-        cfg = DualControlConfig(T=3, p=1e-3, epsilon=1e-4, F=0.9)
-        _, H_other, g_other = init_state(other)
-        earlier = build_splitting(other, H_other, g_other)
-        price_out, sum_out = PriceBuffers(other), AggregationBuffers(other, aux_other)
-        run_dual_with_error_control(other, H_other, earlier, cfg, None, price_out)
-        _, H, g = init_state(net)
-        fresh = build_splitting(net, H, g)
-        split = build_splitting(net, H, g, earlier)
-        for piece in ("dk", "bk", "bbar", "rhs", "denom", "iteration_matrix", "offset"):
-            assert bits(getattr(split, piece)) == bits(getattr(fresh, piece)), piece
-        w, cert = run_dual_with_error_control(net, H, split, cfg, None, price_out)
-        w_ref, cert_ref = run_dual_with_error_control(net, H, fresh, cfg)
-        assert (bits(w), bits(cert)) == (bits(w_ref), bits(cert_ref))
-        delta = primal_direction(net, H, g, w).delta
-        assert bits(compute_theta(net, aux, delta, H, sum_out)) == bits(
-            compute_theta(net, aux, delta, H))
 
 
 class TestTwoPass:
@@ -576,6 +547,15 @@ class TestReference:
                 x_or = reference_solve_oracle(prob, x0=x_or, tol=1e-10)[0]
                 np.testing.assert_array_equal(x, x_or)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_start_rejected(self, bad):
+        # an inf entry is positive, and 0 * inf turns the flow residual NaN
+        net = random_network(15, 8, 0.5, 3)
+        x0 = feasible_init(net).values.copy()
+        x0[2] = bad
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            reference_solve(BarrierProblem(net, 1.0), x0=x0)
+
     def test_start_off_flow_conservation_rejected(self):
         # a positive start whose slacks break flow conservation would
         # converge to a point of another problem
@@ -611,6 +591,26 @@ class TestPhaseDiagnostics:
         assert report.ok, report.violations
         assert report.steps_checked["damped"] > 0
         assert report.steps_checked["quadratic"] > 0
+
+    def test_study_solves_keep_every_per_step_guarantee(self):
+        # every seed-7 study solve: pass 1 (pass 2 reuses it), checked at
+        # phi = 0.15, where every assumption relation holds on the study
+        config = SolverConfig(a=0.01, store_iterates=True)
+        totals = {"damped": 0, "quadratic": 0, "suboptimality": 0}
+        for trial in range(50):
+            net = study_network(trial)
+            tp = two_pass_solve(net, config)
+            assert tp.pass2_reused
+            prob = BarrierProblem(net, config.mu)
+            f_ref = reference_solve(prob).f_final
+            report = phase_diagnostics(tp.pass1, prob, config, f_ref=f_ref, phi=0.15)
+            assert report.ok, (trial, report.violations)
+            checks = dict(report.assumption_checks)
+            del checks["delta_min"]  # a value, which delta_exists tests
+            assert all(v is True for v in checks.values()), (trial, checks)
+            for kind, n in report.steps_checked.items():
+                totals[kind] += n
+        assert totals == {"damped": 731, "quadratic": 187, "suboptimality": 316}
 
     def test_sloppy_duals_flagged_against_strict_config(self, two_flow_network):
         # deliberately inflated epsilon with cold, single-sweep price solves

@@ -78,68 +78,23 @@ def spectral_radius_oracle(denom, iteration_matrix):
 PIECES = ("dk", "bk", "bbar", "rhs", "denom", "iteration_matrix", "offset")
 
 
-class TestSplittingBuffers:
-    def test_buffered_splits_match_the_allocating_form(self):
-        # one split serves every draw on a network, as in a solve
+class TestFreshSplits:
+    def test_fresh_splits_match_the_allocating_form(self):
+        # every build allocates its own pieces, draw after draw on one
+        # network as in a solve, with the bits of the allocating oracle
         rng = np.random.default_rng(31)
         for _ in range(12):
             net = draw_network(rng)
-            earlier = None
             for _ in range(4):
                 _, H, g = random_positive_state(net, rng)
                 H = H * 10.0 ** rng.uniform(-6, 6, len(H))
-                built = build_splitting(net, H, g, earlier)
-                assert earlier is None or built is earlier
-                earlier = built
-                for split in (built, build_splitting(net, H, g)):
-                    expected = build_splitting_oracle(net, H, g)
-                    got = tuple(getattr(split, piece) for piece in PIECES)
-                    for a, b in zip(got, expected):
-                        assert a.tobytes() == b.tobytes()
-                    assert not split.iteration_matrix.flags.writeable
-                    assert repr(spectral_radius(split)) == repr(
-                        spectral_radius_oracle(expected[4], expected[5]))
-
-    def test_a_split_built_into_buffers_uses_them(self):
-        rng = np.random.default_rng(32)
-        net = draw_network(rng)
-        _, H, g = random_positive_state(net, rng)
-        split = build_splitting(net, H, g)
-        arrays = [getattr(split, piece) for piece in PIECES]
-        # a later build overwrites it; a split built without one is its own
-        fresh = build_splitting(net, H, g)
-        assert build_splitting(net, 2.0 * H, g, split) is split
-        assert all(getattr(split, piece) is a for piece, a in zip(PIECES, arrays))
-        assert not np.array_equal(split.dk, fresh.dk)
-        assert not any(np.shares_memory(getattr(fresh, piece), a)
-                       for piece in PIECES for a in arrays)
-        # a split whose matrix is not the read-only view of a build is refused
-        copied = replace(split, iteration_matrix=split.iteration_matrix.copy())
-        with pytest.raises(ValueError, match="build_splitting made"):
-            build_splitting(net, H, g, copied)
-
-    def test_rebuilt_split_serves_no_stale_value(self):
-        # every piece, and every value derived from one, follows the last
-        # build: a weights cached at the first point would fail here
-        rng = np.random.default_rng(33)
-        for _ in range(6):
-            net = draw_network(rng)
-            _, H1, g1 = random_positive_state(net, rng)
-            _, H2, g2 = random_positive_state(net, rng)
-            H2 = H2 * 10.0 ** rng.uniform(-3, 3, len(H2))
-            split = build_splitting(net, H1, g1)
-            first = (split.weights.copy(), spectral_radius(split),
-                     spectral_diagnostics(split, max_cut_limit=0))
-            build_splitting(net, H2, g2, split)
-            fresh = build_splitting(net, H2, g2)
-            for piece in PIECES:
-                assert getattr(split, piece).tobytes() == getattr(fresh, piece).tobytes()
-            assert split.weights.tobytes() == fresh.weights.tobytes()
-            assert split.weights.tobytes() != first[0].tobytes()
-            assert repr(spectral_radius(split)) == repr(spectral_radius(fresh))
-            assert repr(spectral_diagnostics(split, max_cut_limit=0)) == repr(
-                spectral_diagnostics(fresh, max_cut_limit=0))
-            assert repr(spectral_diagnostics(split, max_cut_limit=0)) != repr(first[2])
+                split = build_splitting(net, H, g)
+                expected = build_splitting_oracle(net, H, g)
+                for piece, want in zip(PIECES, expected):
+                    assert getattr(split, piece).tobytes() == want.tobytes(), piece
+                assert not split.iteration_matrix.flags.writeable
+                assert repr(spectral_radius(split)) == repr(
+                    spectral_radius_oracle(expected[4], expected[5]))
 
 
 class TestDualIteration:
