@@ -8,14 +8,7 @@ from .baselines import (
     subgradient_family_stepsize,
     subgradient_solve,
 )
-from .direction import (
-    NewtonDirection,
-    exact_decrement,
-    inexact_decrement,
-    kkt_direction,
-    primal_direction,
-    solve_dual_exact,
-)
+from .direction import inexact_decrement, kkt_direction, primal_direction
 from .errorcontrol import (
     DualControlConfig,
     ErrorCertificate,

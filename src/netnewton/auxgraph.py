@@ -15,7 +15,6 @@ it.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -110,15 +109,10 @@ class AuxiliaryGraph:
         }
 
 
-_CANONICAL_CACHE: "weakref.WeakKeyDictionary[Network, AuxiliaryGraph]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def build_auxiliary_graph(network: Network, first_grey: int = 0) -> AuxiliaryGraph:
+def build_auxiliary_graph(network: Network) -> AuxiliaryGraph:
     """Simulate the signalling construction and return the companion graph.
 
-    One source starts grey and stamps its index on every link of its route.
+    Source 0 starts grey and stamps its index on every link of its route.
     Each round, a white source that sees any stamped link on its route turns
     grey and emits two signals along its route in traversal order: a label
     signal that stamps every still-empty link (smallest index wins when
@@ -128,11 +122,9 @@ def build_auxiliary_graph(network: Network, first_grey: int = 0) -> AuxiliaryGra
     absorptions at one link are applied in ascending source index, so the
     owners end up pairwise connected. Runs exactly S - 1 rounds.
 
-    The graph only depends on the topology, so the canonical choice
-    (first_grey = 0) is cached per network.
+    The graph depends on the topology alone; newton_solve builds it once
+    per solve.
     """
-    if first_grey == 0 and network in _CANONICAL_CACHE:
-        return _CANONICAL_CACHE[network]
     S = network.num_sources
     L = network.num_links
     theta = [[] for _ in range(L)]
@@ -145,9 +137,9 @@ def build_auxiliary_graph(network: Network, first_grey: int = 0) -> AuxiliaryGra
             raise AssertionError(f"duplicate companion edge {key}")
         edges[key] = label
 
-    grey[first_grey] = True
-    for l in network.routes[first_grey]:
-        theta[l].append(first_grey)
+    grey[0] = True
+    for l in network.routes[0]:
+        theta[l].append(0)
 
     for _ in range(S - 1):
         theta_size = [len(t) for t in theta]  # state at the start of the round
@@ -186,15 +178,12 @@ def build_auxiliary_graph(network: Network, first_grey: int = 0) -> AuxiliaryGra
         raise InvalidNetworkError(
             "some sources were never reached; shared-flow structure disconnected"
         )
-    aux = AuxiliaryGraph(
+    return AuxiliaryGraph(
         num_sources=S,
         theta=tuple(tuple(t) for t in theta),
         edges=tuple((i, j, l) for (i, j), l in sorted(edges.items())),
         rounds=S - 1,
     )
-    if first_grey == 0:
-        _CANONICAL_CACHE[network] = aux
-    return aux
 
 
 @dataclass(frozen=True)

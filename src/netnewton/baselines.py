@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Network, utility_method, utility_terms
+from .model import Network, utility_method
 
 __all__ = [
     "FirstOrderConfig",
@@ -103,7 +103,7 @@ def subgradient_family_stepsize(network: Network) -> float:
     longest_route = float(R.sum(axis=0).max())
     busiest_link = float(R.sum(axis=1).max())
     cap = np.full(network.num_sources, float(network.capacities.max()))
-    curv = float((-1.0 / utility_terms(network, "d2", cap)).max())
+    curv = float((-1.0 / utility_method(network, "d2")(cap)).max())
     return 0.9 * 2.0 / (longest_route * busiest_link * curv)
 
 
@@ -182,6 +182,7 @@ def _price_iteration(
     cap = config.rate_cap if config.rate_cap is not None else 2.0 * float(c.max())
     best_response = _best_response(network, cap)
     d2 = utility_method(network, "d2") if scaled else None
+    value = utility_method(network, "value")
     add, subtract, multiply, divide, maximum = (
         np.add, np.subtract, np.multiply, np.divide, np.maximum)
     zero, minus_one = np.array(0.0), np.array(-1.0)
@@ -219,7 +220,7 @@ def _price_iteration(
                 w = maximum(zero, step, out=p)
         finite = prices[:n].max(axis=1) <= 1e12  # also catches nan
         m = n if finite.all() else int(np.argmin(finite))  # rows before divergence
-        values = utility_terms(network, "value", np.maximum(rates[:m], 1e-300))
+        values = value(np.maximum(rates[:m], 1e-300))
         h = -values.sum(axis=-1)
         slack = -overload[:m].max(axis=1)
         change = np.abs(h - np.append(h_prev, h[:-1]))

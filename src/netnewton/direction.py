@@ -10,34 +10,17 @@ of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import Network
 from .splitting import _checked_hessian
 
 __all__ = [
-    "NewtonDirection",
     "kkt_direction",
     "stacked_kkt_direction",
-    "solve_dual_exact",
     "primal_direction",
-    "exact_decrement",
     "inexact_decrement",
 ]
-
-
-@dataclass
-class NewtonDirection:
-    """Feasibility-preserving direction with its curvature norm.
-
-    delta stacks the rate part and the slack part; decrement is
-    sqrt(delta' H delta).
-    """
-
-    delta: np.ndarray
-    decrement: float
 
 
 def kkt_direction(network: Network, hessian_diag, grad):
@@ -47,11 +30,6 @@ def kkt_direction(network: Network, hessian_diag, grad):
     g = np.asarray(grad, dtype=float)[None]
     delta, w = stacked_kkt_direction(network.incidence[None], H, g)
     return delta[0], w[0]
-
-
-def solve_dual_exact(network: Network, hessian_diag, grad) -> np.ndarray:
-    """Exact prices of the dual system; the fixed-point oracle."""
-    return kkt_direction(network, hessian_diag, grad)[1]
 
 
 def stacked_kkt_direction(A, H, g):
@@ -95,8 +73,9 @@ def _check_saddle(A, H, g, delta, price) -> None:
         raise AssertionError("saddle residual too large")
 
 
-def primal_direction(network: Network, hessian_diag, grad, w) -> NewtonDirection:
-    """Two-stage direction for an arbitrary price vector w.
+def primal_direction(network: Network, hessian_diag, grad, w) -> np.ndarray:
+    """Two-stage direction delta = (rates, slacks) for an arbitrary price
+    vector w.
 
     Rates:  delta_s[i] = -(grad_i + route price of i) / H_ii
     Slacks: delta_y    = -routing @ delta_s
@@ -111,8 +90,7 @@ def primal_direction(network: Network, hessian_diag, grad, w) -> NewtonDirection
     pi = network.routing.T @ np.asarray(w, dtype=float)
     delta_s = -(g[:S] + pi) / H[:S]
     delta_y = -(network.routing @ delta_s)
-    delta = np.concatenate([delta_s, delta_y])
-    return NewtonDirection(delta=delta, decrement=float(inexact_decrement(delta, H)))
+    return np.concatenate([delta_s, delta_y])
 
 
 def inexact_decrement(delta, hessian_diag):
@@ -121,9 +99,3 @@ def inexact_decrement(delta, hessian_diag):
     d = np.asarray(delta, dtype=float)
     H = np.asarray(hessian_diag, dtype=float)
     return np.sqrt(np.add.reduce(d * d * H, axis=-1))
-
-
-def exact_decrement(network: Network, hessian_diag, grad) -> float:
-    """Decrement of the dense-oracle direction; diagnostic use only."""
-    delta, _ = kkt_direction(network, hessian_diag, grad)
-    return float(inexact_decrement(delta, hessian_diag))

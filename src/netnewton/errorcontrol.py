@@ -20,6 +20,7 @@ and the traced sweep count never see.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,14 +79,15 @@ class DualControlConfig:
     iter_cap: int = 10**6
 
     def __post_init__(self):
+        # Each check is written so that it also rejects NaN and infinity.
         if not 0 < self.F < 1:
-            raise ValueError("F must lie in (0, 1)")
+            raise ValueError(f"F must lie in (0, 1), got {self.F!r}")
         if not 0 < self.p < 1:
-            raise ValueError("p must lie in (0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.T < 1:
-            raise ValueError("stage-1 budget T must be at least 1")
+            raise ValueError(f"p must lie in (0, 1), got {self.p!r}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        for name in ("T", "iter_cap"):
+            _check_count(name, getattr(self, name))
 
     @classmethod
     def from_lambda1(cls, lam1: float, p: float, epsilon: float, T: int | None = None):
@@ -100,6 +102,22 @@ class DualControlConfig:
         if T is None:
             T = max(2, math.ceil(math.log(0.1) / math.log(F)))
         return cls(T=T, p=p, epsilon=epsilon, F=F)
+
+
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an integer >= 1 (a bool is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not value >= 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
+
+
+def _checked_aggregates(network, *aggregates) -> None:
+    """Reject aggregates that are not S per-source values, then L link sums."""
+    n = network.num_sources + network.num_links
+    for v in aggregates:
+        if len(v) != n:
+            raise ValueError(f"aggregates need S + L = {n} values: S per source, then L link sums")
 
 
 def _largest(v):
@@ -121,21 +139,17 @@ def stage1_beta(network, w_t, w_t1, big_pi0, big_pi_t, F, p) -> float:
     so the ratio is treated as infinite (forcing more sweeps). Returns
     beta = (max rho / p)^-2, infinite when the prices did not move. The
     prices and aggregates are float arrays; each aggregate holds the S
-    per-source values, optionally followed by their L link sums (routing
-    @ it), which are then not recomputed.
+    per-source values followed by their L link sums (routing @ them).
     """
+    _checked_aggregates(network, big_pi0, big_pi_t)
     diff = float(_largest(np.abs(w_t1 - w_t)))
     if diff == 0.0:
         return math.inf
     S = network.num_sources
-    num, agg = (
-        v if len(v) > S else np.concatenate([v, network.routing @ v])
-        for v in (big_pi0, big_pi_t)
-    )
     amp = math.sqrt(network.num_links) * diff / (1.0 - F)
-    den = np.abs(agg)
+    den = np.abs(big_pi_t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.where(den < _TINY_PRICE, np.inf, amp * num / den)
+        rho = np.where(den < _TINY_PRICE, np.inf, amp * big_pi0 / den)
     # the source maximum first, which a NaN link ratio leaves standing
     worst = max(float(_largest(rho[:S])), float(_largest(rho[S:])))
     if worst == 0.0:
@@ -149,8 +163,10 @@ def stage2_h(network, hessian_diag, big_pi0, pi0, beta, epsilon, F) -> float:
     Valid for beta in [0, 1); meeting ||w(t+1) - w(t)||_inf <= h certifies
     gamma' H gamma <= epsilon / (1 - beta). Shrinks like sqrt(epsilon).
     stage1_beta returns 0 when a route price vanishes; the cap is then
-    epsilon alone. The curvature and aggregates are float arrays.
+    epsilon alone. The curvature and aggregates are float arrays; big_pi0
+    is laid out as in stage1_beta, and only its link sums are read.
     """
+    _checked_aggregates(network, big_pi0)
     if not 0.0 <= beta < 1.0:
         raise ValueError("stage 2 applies only when beta is in [0, 1)")
     if epsilon <= 0:
@@ -160,7 +176,7 @@ def stage2_h(network, hessian_diag, big_pi0, pi0, beta, epsilon, F) -> float:
     # The denominators are positive and c >= 0, and rounded division is
     # monotone, so the smallest c / a is c over the largest a, bit for bit.
     src = _largest(pi0 * hessian_diag[:S] ** -0.5)
-    link = _largest(np.sqrt(hessian_diag[S:]) * (network.routing @ big_pi0))
+    link = _largest(np.sqrt(hessian_diag[S:]) * big_pi0[S:])
     return c / max(float(src), float(link))
 
 
@@ -230,8 +246,8 @@ def run_dual_with_error_control(
     # Pi0 = pi0 / H and its link sums serve every retest and threshold;
     # agg takes Pi_t and its link sums at each retest
     num, agg = np.empty(S + L), np.empty(S + L)
-    big_pi0, big_pi = num[:S], agg[:S]
-    R.dot(np.divide(pi0, H_src, big_pi0), num[S:])
+    big_pi = agg[:S]
+    R.dot(np.divide(pi0, H_src, num[:S]), num[S:])
 
     def retest(w_prev, w_cur):
         R.dot(np.divide(R_t.dot(w_prev, big_pi), H_src, big_pi), agg[S:])
@@ -250,7 +266,7 @@ def run_dual_with_error_control(
     passes = 2  # the price change and beta
     h = None
     while not beta >= 1.0:  # a NaN beta goes on to stage2_h, which rejects it
-        h = stage2_h(network, H, big_pi0, pi0, beta, cfg.epsilon, cfg.F)
+        h = stage2_h(network, H, num, pi0, beta, cfg.epsilon, cfg.F)
         for steps in range(steps + 1, cfg.iter_cap + 1):
             w_prev, w_cur = w_cur, dual_step_matrix(split, w_cur, w_prev)
             if _largest(absolute(subtract(w_cur, w_prev, change), change)) <= h:

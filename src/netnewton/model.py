@@ -29,7 +29,6 @@ __all__ = [
     "eval_grad",
     "eval_hessian_diag",
     "eval_h",
-    "utility_terms",
     "utility_method",
     "group_method",
     "stack_utility_groups",
@@ -472,17 +471,12 @@ def group_method(groups, method: str):
 
 
 def utility_method(network: Network, method: str):
-    """The function s -> utility_terms(network, method, s), bound once so
-    that a loop can call it many times."""
+    """The function s -> the terms of the utility method named (value, d1,
+    d2, d3 or inverse_d1): entry [..., i] is
+    network.utilities[i].<method>(s[..., i]), evaluated family by family.
+    The last axis of s is the sources; leading axes stack several rate
+    vectors. Bind it once where a loop calls it."""
     return group_method(network.utility_groups, method)
-
-
-def utility_terms(network: Network, method: str, s) -> np.ndarray:
-    """Entry [..., i] is network.utilities[i].<method>(s[..., i]) for the
-    utility method named (value, d1, d2, d3 or inverse_d1), evaluated family
-    by family. The last axis of s is the sources; leading axes stack
-    several rate vectors."""
-    return utility_method(network, method)(s)
 
 
 def eval_f(problem: BarrierProblem, x) -> float:
@@ -535,7 +529,7 @@ def eval_hessian_diag(problem: BarrierProblem, x) -> np.ndarray:
 def eval_h(network: Network, x) -> float:
     """Negated total utility over the rate coordinates (no barrier, no scale)."""
     s = _as_values(x)[: network.num_sources]
-    return -float(utility_terms(network, "value", s).sum())
+    return -float(utility_method(network, "value")(s).sum())
 
 
 # ---------------------------------------------------------------------------

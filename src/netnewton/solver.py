@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .auxgraph import build_auxiliary_graph, compute_theta
 from .direction import inexact_decrement, primal_direction, stacked_kkt_direction
-from .errorcontrol import DualControlConfig, run_dual_with_error_control
+from .errorcontrol import DualControlConfig, _check_count, run_dual_with_error_control
 from .metrics import MessageMetrics
 from .model import (
     FEASIBILITY_RTOL,
@@ -106,11 +105,9 @@ class SolverConfig:
                 f"theta_term must be non-negative and finite, got {self.theta_term!r}")
         if not 0 < self.a < np.inf:
             raise ValueError(f"two-pass target a must be positive and finite, got {self.a!r}")
-        iters = self.max_primal_iters
-        if isinstance(iters, bool) or not isinstance(iters, numbers.Integral):
-            raise ValueError(f"max_primal_iters must be an integer, got {iters!r}")
-        if not iters >= 1:
-            raise ValueError("max_primal_iters must be at least 1")
+        _check_count("max_primal_iters", self.max_primal_iters)
+        if self.T is not None:
+            _check_count("T", self.T)
         tau_cap = (1.0 / self.b - 1.0) * (1.0 + self.V)
         if not abs(self.tau_noise) <= tau_cap:
             raise ValueError(f"|tau_noise| must not exceed {tau_cap:.6f}")
@@ -204,8 +201,8 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
         dual_cfg = DualControlConfig.from_lambda1(lam1, config.p, config.epsilon, config.T)
         w, cert = run_dual_with_error_control(net, H, split, dual_cfg, w_warm)
         metrics.count_price_solve(net, cert)
-        direction = primal_direction(net, H, g, w)
-        theta, sum_rounds = compute_theta(net, aux, direction.delta, H)
+        delta = primal_direction(net, H, g, w)
+        theta, sum_rounds = compute_theta(net, aux, delta, H)
         metrics.summation_rounds += sum_rounds
         if config.tau_noise:
             theta = max(0.0, theta + config.tau_noise * math.cos(float(k)))
@@ -217,7 +214,7 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
             k=k,
             f=f,
             h=h,
-            lambda_tilde=direction.decrement,
+            lambda_tilde=float(inexact_decrement(delta, H)),
             theta=theta,
             stepsize=d,
             phase=phase,
@@ -235,7 +232,7 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
         if not damped and theta <= config.theta_term:
             converged = True
             break
-        x = x + d * direction.delta
+        x = x + d * delta
         if not np.all(x > 0):
             raise AssertionError(
                 "iterate lost strict positivity; stepsize window violated"
@@ -352,15 +349,18 @@ def reference_optima(networks) -> list:
 
 @dataclass
 class TwoPassResult:
-    """Both passes of two_pass_solve. When pass 2 would repeat pass 1
-    exactly, pass2 is pass1 and is counted once."""
+    """Both passes of two_pass_solve; x is pass 2's. When pass 2 would
+    repeat pass 1 exactly, pass2 is pass1 and is counted once."""
 
-    x: np.ndarray
     pass1: SolveResult
     pass2: SolveResult
     scale: float
     shift: float
     h_final: float
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.pass2.x
 
     @property
     def h_pass1(self) -> float:
@@ -434,7 +434,6 @@ def two_pass_solve(network: Network, config: SolverConfig) -> TwoPassResult:
     else:
         res2 = newton_solve(BarrierProblem(network, 1.0, scale), config)
     return TwoPassResult(
-        x=res2.x,
         pass1=res1,
         pass2=res2,
         scale=scale,

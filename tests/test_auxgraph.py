@@ -134,10 +134,6 @@ class TestConstruction:
                     labels = {label[(min(a, b), max(a, b))] for a, b in pairs}
                     assert len(labels) == 1
 
-    def test_alternative_first_grey_still_valid(self, two_flow_network):
-        aux = build_auxiliary_graph(two_flow_network, first_grey=1)
-        check_structure(two_flow_network, aux)
-
 
 class TestDistributedSum:
     def test_all_zero_inputs(self, two_flow_network):

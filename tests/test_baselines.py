@@ -23,7 +23,7 @@ from netnewton.baselines import (
     _price_iteration,
 )
 from netnewton.experiment import FAMILY_FIXTURES
-from netnewton.model import utility_method, utility_terms
+from netnewton.model import utility_method
 
 from conftest import TWO_FLOW_ROUTING
 
@@ -34,7 +34,7 @@ def oracle_best_response(network, prices, cap):
     does not share: rates maximizing utility minus route price, clamped to
     [0, cap], and cap where the route price vanishes."""
     route_price = network.routing.T @ prices
-    s = utility_terms(network, "inverse_d1", np.maximum(route_price, 1e-12))
+    s = utility_method(network, "inverse_d1")(np.maximum(route_price, 1e-12))
     return np.where(route_price > 1e-12, np.minimum(np.maximum(s, 0.0), cap), cap)
 
 
@@ -55,7 +55,7 @@ def oracle_price_iteration(network, config, h_ref, scaled):
         s = oracle_best_response(network, w, cap)
         overload = R @ s - c
         if scaled:
-            curv = R @ (-1.0 / utility_terms(network, "d2", s))
+            curv = R @ (-1.0 / utility_method(network, "d2")(s))
             step = config.stepsize * overload / np.maximum(curv, config.curvature_floor)
         else:
             step = config.stepsize * overload
@@ -64,7 +64,7 @@ def oracle_price_iteration(network, config, h_ref, scaled):
             raise RuntimeError(
                 f"price iteration diverged at step {k}; reduce the stepsize"
             )
-        h = -float(utility_terms(network, "value", np.maximum(s, 1e-300)).sum())
+        h = -float(utility_method(network, "value")(np.maximum(s, 1e-300)).sum())
         min_slack = float(-overload.max())
         h_hist.append(h)
         slack_hist.append(min_slack)
@@ -306,28 +306,24 @@ class TestBlockedLoop:
 
     @pytest.mark.parametrize("scaled", [False, True])
     def test_utility_dispatch_bound_once_per_block(self, two_flow_network, monkeypatch, scaled):
-        # count calls under every netnewton module that binds each function
-        names = ("utility_method", "utility_terms")
-        calls = dict.fromkeys(names, 0)
+        # count calls under every netnewton module that binds utility_method
+        calls = []
         modules = [m for n, m in list(sys.modules.items())
                    if m is not None and (n == "netnewton" or n.startswith("netnewton."))]
-        for name in names:
-            original = getattr(netnewton.model, name)
+        original = netnewton.model.utility_method
 
-            def counted(*args, _name=name, _fn=original, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return original(*args, **kwargs)
 
-            for mod in modules:
-                if mod.__dict__.get(name) is original:
-                    monkeypatch.setattr(mod, name, counted)
+        for mod in modules:
+            if mod.__dict__.get("utility_method") is original:
+                monkeypatch.setattr(mod, "utility_method", counted)
         cfg = FirstOrderConfig(stepsize=0.001, max_iters=1000)
         res = _price_iteration(two_flow_network, cfg, None, scaled)
         assert not res.converged and res.iterations == 1000
-        blocks = -(-1000 // _BLOCK)
-        # per block the objective; per solve the bound methods of the update
-        assert calls["utility_terms"] <= blocks + 1, calls
-        assert calls["utility_method"] <= blocks + 2, calls
+        # per solve: inverse_d1, d2 when scaled, and the value of every block
+        assert len(calls) <= 3, calls
 
     def test_iterates_after_a_divergence_raise_no_warning(self, two_flow_network):
         # at this stepsize the block's later iterates reach zero rates, whose

@@ -9,7 +9,6 @@ from netnewton import (
     compute_theta,
     eval_grad,
     eval_hessian_diag,
-    exact_decrement,
     feasible_init,
     inexact_decrement,
     kkt_direction,
@@ -17,7 +16,6 @@ from netnewton import (
     random_network,
     reference_solve,
     run_dual_with_error_control,
-    solve_dual_exact,
 )
 from netnewton.direction import _check_saddle, stacked_kkt_direction
 
@@ -76,9 +74,8 @@ class TestPrimalDirection:
         for _ in range(20):
             net = draw_network(rng)
             _, H, g = random_positive_state(net, rng)
-            w_star = solve_dual_exact(net, H, g)
-            exact, _ = kkt_direction(net, H, g)
-            inexact = primal_direction(net, H, g, w_star).delta
+            exact, w_star = kkt_direction(net, H, g)
+            inexact = primal_direction(net, H, g, w_star)
             tol = 1e-9 * (1.0 + np.abs(exact).max())
             assert np.abs(inexact - exact).max() <= tol
 
@@ -88,8 +85,8 @@ class TestPrimalDirection:
         H = rng.uniform(0.5, 2.0, 7)
         g = -(two_flow_network.incidence.T @ w)
         d = primal_direction(two_flow_network, H, g, w)
-        np.testing.assert_allclose(d.delta, np.zeros(7), atol=1e-14)
-        assert d.decrement == pytest.approx(0.0, abs=1e-14)
+        np.testing.assert_allclose(d, np.zeros(7), atol=1e-14)
+        assert inexact_decrement(d, H) == pytest.approx(0.0, abs=1e-14)
 
     def test_minimal_closed_form(self, tiny_network):
         g = np.array([0.8, -0.1])
@@ -97,8 +94,8 @@ class TestPrimalDirection:
         w = np.array([0.3])
         d = primal_direction(tiny_network, H, g, w)
         expected = -(g[0] + w[0]) / H[0]
-        assert d.delta[0] == pytest.approx(expected)
-        assert d.delta[1] == pytest.approx(-expected)
+        assert d[0] == pytest.approx(expected)
+        assert d[1] == pytest.approx(-expected)
 
     def test_flow_conservation_for_any_prices(self):
         rng = np.random.default_rng(2)
@@ -108,8 +105,8 @@ class TestPrimalDirection:
             w = rng.normal(size=net.num_links) * 10
             d = primal_direction(net, H, g, w)
             for step in (0.1, 1.0, 7.0):
-                assert np.abs(net.incidence @ (step * d.delta)).max() <= 1e-10 * (
-                    1.0 + np.abs(d.delta).max()
+                assert np.abs(net.incidence @ (step * d)).max() <= 1e-10 * (
+                    1.0 + np.abs(d).max()
                 )
 
 
@@ -154,7 +151,7 @@ class TestDecrements:
         rng = np.random.default_rng(3)
         net = draw_network(rng)
         _, H, g = random_positive_state(net, rng)
-        assert exact_decrement(net, H, g) >= 0.0
+        assert inexact_decrement(kkt_direction(net, H, g)[0], H) >= 0.0
 
     def test_exact_decrement_small_at_barrier_optimum(self, two_flow_network):
         prob = BarrierProblem(two_flow_network, mu=1.0)
@@ -164,7 +161,7 @@ class TestDecrements:
 
         H = eval_hessian_diag(prob, x)
         g = eval_grad(prob, x)
-        assert exact_decrement(two_flow_network, H, g) <= 1e-6
+        assert inexact_decrement(kkt_direction(two_flow_network, H, g)[0], H) <= 1e-6
 
     def test_matches_distributed_aggregation(self):
         rng = np.random.default_rng(4)
@@ -174,8 +171,8 @@ class TestDecrements:
             w = rng.normal(size=net.num_links)
             d = primal_direction(net, H, g, w)
             aux = build_auxiliary_graph(net)
-            theta, _ = compute_theta(net, aux, d.delta, H)
-            assert theta == pytest.approx(d.decrement, rel=1e-12, abs=1e-15)
+            theta, _ = compute_theta(net, aux, d, H)
+            assert theta == pytest.approx(inexact_decrement(d, H), rel=1e-12, abs=1e-15)
 
     def test_error_sandwich_with_certified_prices(self):
         # |exact - inexact| <= p * inexact + sqrt(epsilon) once certified
@@ -190,7 +187,7 @@ class TestDecrements:
             cfg = DualControlConfig.from_lambda1(lam1, p, eps, T=5)
             split = build_splitting(net, H, g)
             w, _ = run_dual_with_error_control(net, H, split, cfg)
-            lam_tilde = primal_direction(net, H, g, w).decrement
-            lam = exact_decrement(net, H, g)
+            lam_tilde = inexact_decrement(primal_direction(net, H, g, w), H)
+            lam = inexact_decrement(kkt_direction(net, H, g)[0], H)
             assert (1 - p) * lam_tilde - np.sqrt(eps) <= lam + 1e-12
             assert lam <= (1 + p) * lam_tilde + np.sqrt(eps) + 1e-12

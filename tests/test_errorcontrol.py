@@ -15,7 +15,6 @@ from netnewton import (
     primal_direction,
     random_network,
     run_dual_with_error_control,
-    solve_dual_exact,
     spectral_radius,
     stage1_beta,
     stage2_h,
@@ -36,9 +35,15 @@ def control_setup(net, H):
 def assumption_error(net, H, g, w):
     """gamma' H gamma with gamma from the dense price oracle."""
     exact, _ = kkt_direction(net, H, g)
-    inexact = primal_direction(net, H, g, w).delta
+    inexact = primal_direction(net, H, g, w)
     gamma = exact - inexact
     return float(np.sum(gamma * gamma * H)), inexact
+
+
+def with_link_sums(network, v):
+    """A route aggregate laid out as the stage tests take it: the S
+    per-source values, then their L link sums."""
+    return np.concatenate([v, network.routing @ v])
 
 
 def reference_run_dual(network, hessian_diag, split, cfg, warm_start_w=None):
@@ -52,10 +57,10 @@ def reference_run_dual(network, hessian_diag, split, cfg, warm_start_w=None):
     if warm_start_w is None:
         warm_start_w = ones
     pi0 = network.routing.T @ ones
-    big_pi0 = (network.routing.T @ ones) / H[:S]
+    big_pi0 = with_link_sums(network, (network.routing.T @ ones) / H[:S])
 
     def retest(w_prev, w_cur):
-        big_pi_t = (network.routing.T @ w_prev) / H[:S]
+        big_pi_t = with_link_sums(network, (network.routing.T @ w_prev) / H[:S])
         return stage1_beta(network, w_prev, w_cur, big_pi0, big_pi_t, cfg.F, cfg.p)
 
     w_prev = np.array(warm_start_w, dtype=float)
@@ -168,17 +173,16 @@ class TestStageFormulas:
             vanished += bool(np.abs(big_pi_t).min() < 1e-14)
             F, p = rng.uniform(0.01, 0.99), 10.0 ** rng.uniform(-4, -1)
             with np.errstate(invalid="ignore", over="ignore"):
-                beta = stage1_beta(net, w_t, w_t1, big_pi0, big_pi_t, F, p)
                 expected = stage1_beta_oracle(net, w_t, w_t1, big_pi0, big_pi_t, F, p)
                 # as run_dual_with_error_control passes them: each aggregate
                 # followed by its link sums
-                num, agg = (np.concatenate([v, net.routing @ v]) for v in (big_pi0, big_pi_t))
-                summed = stage1_beta(net, w_t, w_t1, num, agg, F, p)
-            assert repr(beta) == repr(expected) == repr(summed)
+                num, agg = (with_link_sums(net, v) for v in (big_pi0, big_pi_t))
+                beta = stage1_beta(net, w_t, w_t1, num, agg, F, p)
+            assert repr(beta) == repr(expected)
             nan += math.isnan(beta)
             beta = 0.0 if k % 5 == 0 else rng.uniform(0.0, 1.0)
             eps = 10.0 ** rng.uniform(-12, 0)
-            h = stage2_h(net, H, big_pi0, pi0, beta, eps, F)
+            h = stage2_h(net, H, num, pi0, beta, eps, F)
             assert repr(h) == repr(stage2_h_oracle(net, H, big_pi0, pi0, beta, eps, F))
         assert vanished >= 50 and nan >= 20
 
@@ -229,11 +233,12 @@ class TestStageFormulas:
 
 class TestStage1:
     def test_converged_prices_give_infinite_beta(self, two_flow_network):
-        _, H, g = init_state(two_flow_network)
-        w_star = solve_dual_exact(two_flow_network, H, g)
-        pi0 = (1 / H[:2]) * (two_flow_network.routing.T @ np.ones(5))
-        pit = (1 / H[:2]) * (two_flow_network.routing.T @ w_star)
-        beta = stage1_beta(two_flow_network, w_star, w_star, pi0, pit, F=0.5, p=1e-3)
+        net = two_flow_network
+        _, H, g = init_state(net)
+        w_star = kkt_direction(net, H, g)[1]
+        pi0, pit = (with_link_sums(net, (1 / H[:2]) * (net.routing.T @ w))
+                    for w in (np.ones(5), w_star))
+        beta = stage1_beta(net, w_star, w_star, pi0, pit, F=0.5, p=1e-3)
         assert beta == np.inf
 
     def test_a_nan_link_ratio_leaves_the_source_maximum(self, two_flow_network):
@@ -244,11 +249,10 @@ class TestStage1:
         pit = np.array([np.inf, -np.inf])
         w_t, w_t1 = np.zeros(net.num_links), np.full(net.num_links, 0.5)
         with np.errstate(invalid="ignore"):
-            summed = [np.concatenate([v, net.routing @ v]) for v in (pi0, pit)]
+            summed = [with_link_sums(net, v) for v in (pi0, pit)]
             assert np.isnan(summed[1][net.num_sources:]).any()
-            for args in ((pi0, pit), summed):
-                beta = stage1_beta(net, w_t, w_t1, *args, F=0.5, p=1e-3)
-                assert beta == stage1_beta_oracle(net, w_t, w_t1, pi0, pit, 0.5, 1e-3) == math.inf
+            beta = stage1_beta(net, w_t, w_t1, *summed, F=0.5, p=1e-3)
+            assert beta == stage1_beta_oracle(net, w_t, w_t1, pi0, pit, 0.5, 1e-3) == math.inf
 
     def test_minimal_instance_closed_form(self, tiny_network):
         H = np.array([2.0, 0.5])
@@ -259,6 +263,7 @@ class TestStage1:
         F, p = 0.4, 0.1
         # single source and single link share the same aggregates here
         rho = np.sqrt(1) * pi0[0] * 0.5 / ((1 - F) * abs(pit[0]))
+        pi0, pit = (with_link_sums(tiny_network, v) for v in (pi0, pit))
         beta = stage1_beta(tiny_network, w_t, w_t1, pi0, pit, F, p)
         assert beta == pytest.approx((rho / p) ** -2, rel=1e-12)
 
@@ -274,8 +279,8 @@ class TestStage1:
             for _ in range(int(rng.integers(2, 30))):
                 w = dual_step_matrix(split, w)
             w_next = dual_step_matrix(split, w)
-            pi0 = (1 / H[: net.num_sources]) * (net.routing.T @ np.ones(net.num_links))
-            pit = (1 / H[: net.num_sources]) * (net.routing.T @ w)
+            pi0, pit = (with_link_sums(net, (1 / H[: net.num_sources]) * (net.routing.T @ v))
+                        for v in (np.ones(net.num_links), w))
             beta = stage1_beta(net, w, w_next, pi0, pit, F, p)
             err, inexact = assumption_error(net, H, g, w)
             lam_sq = float(np.sum(inexact * inexact * H))
@@ -289,7 +294,8 @@ class TestStage2:
         beta, eps, F = 0.5, 1e-4, 0.3
         pi0_unweighted = np.array([1.0])
         big_pi0 = np.array([1.0 / H[0]])
-        h = stage2_h(tiny_network, H, big_pi0, pi0_unweighted, beta, eps, F)
+        h = stage2_h(tiny_network, H, with_link_sums(tiny_network, big_pi0), pi0_unweighted,
+                     beta, eps, F)
         c = np.sqrt(eps / ((1 - beta) * (1 + 1) * 1)) * (1 - F)
         h_src = c / (1.0 * H[0] ** -0.5)
         h_link = c / (np.sqrt(H[1]) * big_pi0[0])
@@ -298,7 +304,7 @@ class TestStage2:
     def test_threshold_shrinks_with_epsilon(self, two_flow_network):
         _, H, _ = init_state(two_flow_network)
         pi0 = two_flow_network.routing.T @ np.ones(5)
-        big_pi0 = (1 / H[:2]) * pi0
+        big_pi0 = with_link_sums(two_flow_network, (1 / H[:2]) * pi0)
         hs = [
             stage2_h(two_flow_network, H, big_pi0, pi0, 0.5, eps, 0.5)
             for eps in (1e-8, 1e-6, 1e-4, 1e-2)
@@ -316,7 +322,7 @@ class TestStage2:
             _, H, g = init_state(net)
             F = control_setup(net, H)
             pi0 = net.routing.T @ np.ones(net.num_links)
-            big_pi0 = (1 / H[: net.num_sources]) * pi0
+            big_pi0 = with_link_sums(net, (1 / H[: net.num_sources]) * pi0)
             h = stage2_h(net, H, big_pi0, pi0, beta, eps, F)
             split = build_splitting(net, H, g)
             w = np.ones(net.num_links)
@@ -331,7 +337,7 @@ class TestStage2:
     def test_rejects_beta_out_of_range(self, two_flow_network):
         _, H, _ = init_state(two_flow_network)
         pi0 = two_flow_network.routing.T @ np.ones(5)
-        big_pi0 = (1 / H[:2]) * pi0
+        big_pi0 = with_link_sums(two_flow_network, (1 / H[:2]) * pi0)
         for beta in (1.2, float("nan"), -0.1):
             with pytest.raises(ValueError):
                 stage2_h(two_flow_network, H, big_pi0, pi0, beta, 1e-4, 0.5)
@@ -340,11 +346,51 @@ class TestStage2:
         # stage1_beta returns 0 when a route price vanishes
         _, H, _ = init_state(two_flow_network)
         pi0 = two_flow_network.routing.T @ np.ones(5)
-        big_pi0 = (1 / H[:2]) * pi0
+        big_pi0 = with_link_sums(two_flow_network, (1 / H[:2]) * pi0)
         h0 = stage2_h(two_flow_network, H, big_pi0, pi0, 0.0, 1e-4, 0.5)
         assert h0 == pytest.approx(
             stage2_h(two_flow_network, H, big_pi0, pi0, 0.5, 5e-5, 0.5), rel=1e-12
         )
+
+
+    def test_threshold_reads_the_link_sums_it_is_given(self):
+        # stage2_h takes the link sums of Pi0 from its input: equal to
+        # routing @ Pi0 they give the oracle's h, changed they change h
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            net = draw_network(rng)
+            S, L = net.num_sources, net.num_links
+            _, H, _ = init_state(net)
+            pi0 = net.routing.T @ np.ones(L)
+            big_pi0 = pi0 / H[:S]
+            num = with_link_sums(net, big_pi0)
+            args = (0.5, 1e-4, 0.5)
+            h = stage2_h(net, H, num, pi0, *args)
+            assert repr(h) == repr(stage2_h_oracle(net, H, big_pi0, pi0, *args))
+            # link sums large enough to set the largest denominator
+            scaled = num.copy()
+            scaled[S:] *= 1e6
+            assert stage2_h(net, H, scaled, pi0, *args) < h
+            # the per-source values are not read
+            moved = num.copy()
+            moved[:S] *= 4.0
+            assert stage2_h(net, H, moved, pi0, *args) == h
+
+    def test_aggregates_of_another_length_rejected(self, two_flow_network):
+        net = two_flow_network
+        _, H, _ = init_state(net)
+        pi0 = net.routing.T @ np.ones(net.num_links)
+        full = with_link_sums(net, pi0 / H[:2])
+        w_t, w_t1 = np.ones(5), np.full(5, 1.5)
+        for bad in (full[:2], full[:-1], np.append(full, 1.0)):
+            with pytest.raises(ValueError, match="S \\+ L = 7"):
+                stage2_h(net, H, bad, pi0, 0.5, 1e-4, 0.5)
+            for pair in ((bad, full), (full, bad)):
+                with pytest.raises(ValueError, match="S \\+ L = 7"):
+                    stage1_beta(net, w_t, w_t1, *pair, F=0.5, p=1e-3)
+        # also where the prices did not move, which returns before any ratio
+        with pytest.raises(ValueError, match="S \\+ L = 7"):
+            stage1_beta(net, w_t, w_t, full[:2], full[:2], F=0.5, p=1e-3)
 
 
 class TestMaxConsensus:
@@ -390,7 +436,7 @@ class TestMaxConsensus:
 class TestRunWithErrorControl:
     def test_warm_start_at_fixed_point_accepts_in_stage1(self, two_flow_network):
         _, H, g = init_state(two_flow_network)
-        w_star = solve_dual_exact(two_flow_network, H, g)
+        w_star = kkt_direction(two_flow_network, H, g)[1]
         cfg = DualControlConfig(T=4, p=1e-3, epsilon=1e-4, F=control_setup(two_flow_network, H))
         split = build_splitting(two_flow_network, H, g)
         w, cert = run_dual_with_error_control(two_flow_network, H, split, cfg, w_star)
@@ -433,7 +479,7 @@ class TestRunWithErrorControl:
             _, H, g = init_state(net)
             F = control_setup(net, H)
             split = build_splitting(net, H, g)
-            w_star = solve_dual_exact(net, H, g)
+            w_star = kkt_direction(net, H, g)[1]
             w = np.ones(net.num_links)
             amp = np.sqrt(net.num_links) / (1 - F)
             for _ in range(60):
@@ -596,3 +642,15 @@ class TestRunWithErrorControl:
             DualControlConfig(T=2, p=0.0, epsilon=1e-4, F=0.5)
         with pytest.raises(ValueError):
             DualControlConfig(T=2, p=1e-3, epsilon=0.0, F=0.5)
+        # NaN and infinity fail every check, and a count is an integer >= 1
+        # that is not a bool; each message names its field
+        nan, inf = float("nan"), float("inf")
+        bad = [("epsilon", nan), ("epsilon", inf), ("F", nan), ("p", nan),
+               ("T", nan), ("T", 2.5), ("T", True), ("T", -3),
+               ("iter_cap", nan), ("iter_cap", 0), ("iter_cap", True), ("iter_cap", 2.0)]
+        for name, value in bad:
+            settings = dict(T=2, p=1e-3, epsilon=1e-4, F=0.5, iter_cap=10)
+            settings[name] = value
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                DualControlConfig(**settings)
+        DualControlConfig(T=np.int64(1), p=1e-3, epsilon=1e-4, F=0.5, iter_cap=1)

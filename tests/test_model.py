@@ -26,7 +26,6 @@ from netnewton.model import (
     barrier_hessian_diag,
     barrier_objective,
     utility_method,
-    utility_terms,
 )
 
 from conftest import TWO_FLOW_ROUTING, draw_network
@@ -250,16 +249,17 @@ class TestEvaluation:
         expected = [float(getattr(u, method)(s[i])) for i, u in enumerate(mixed_network.utilities)]
         # array and scalar np.log may round apart by an ulp
         np.testing.assert_allclose(
-            utility_terms(mixed_network, method, s), expected, rtol=4 * np.finfo(float).eps
+            utility_method(mixed_network, method)(s), expected, rtol=4 * np.finfo(float).eps
         )
 
     @pytest.mark.parametrize("method", ["value", "d1", "d2", "d3", "inverse_d1"])
     def test_utility_terms_rows_match_vector_calls(self, mixed_network, method):
         rows = np.random.default_rng(6).uniform(0.1, 4.0, (7, mixed_network.num_sources))
-        stacked = utility_terms(mixed_network, method, rows)
+        terms = utility_method(mixed_network, method)
+        stacked = terms(rows)
         assert stacked.shape == rows.shape
         for row, out in zip(rows, stacked):
-            assert np.array_equal(out, utility_terms(mixed_network, method, row))
+            assert np.array_equal(out, terms(row))
 
     def test_log_d2_bits_match_negated_weight_quotient(self):
         # d2 negates the weight once per instance; negation is exact, so
@@ -273,7 +273,8 @@ class TestEvaluation:
 
     def test_evaluations_keep_their_allocating_bits(self, mixed_network):
         # f and h from one utility evaluation keep the bits of the forms
-        # before them, and the bound gradient and Hessian those of utility_terms
+        # before them, and the bound gradient and Hessian those of the
+        # per-call utility evaluations
         rng = np.random.default_rng(9)
         net = mixed_network
         S = net.num_sources
@@ -281,10 +282,10 @@ class TestEvaluation:
         for mu, scale in [(1.0, 1.0), (3.0, 1.0), (1.0, 37.5)] * 10:
             x = rng.uniform(0.1, 3.0, S + net.num_links)
             g = -mu / x
-            g[:S] -= scale * utility_terms(net, "d1", x[:S])
+            g[:S] -= scale * utility_method(net, "d1")(x[:S])
             H = mu / x**2
-            H[:S] -= scale * utility_terms(net, "d2", x[:S])
-            util = float(utility_terms(net, "value", x[:S]).sum())
+            H[:S] -= scale * utility_method(net, "d2")(x[:S])
+            util = float(utility_method(net, "value")(x[:S]).sum())
             f = -scale * util - mu * float(np.sum(np.log(x)))
             assert barrier_grad(x, S, mu, scale, d1).tobytes() == g.tobytes()
             assert barrier_hessian_diag(x, S, mu, scale, d2).tobytes() == H.tobytes()

@@ -29,7 +29,7 @@ from netnewton import (
     two_pass_solve,
 )
 from netnewton.auxgraph import build_auxiliary_graph, compute_theta
-from netnewton.direction import primal_direction
+from netnewton.direction import inexact_decrement, primal_direction
 from netnewton.errorcontrol import DualControlConfig, run_dual_with_error_control
 from netnewton.metrics import MessageMetrics
 from netnewton.model import FEASIBILITY_RTOL, feasibility_residual
@@ -75,7 +75,7 @@ class TestConfig:
         SolverConfig(tau_noise=cap * 0.99)
 
     @pytest.mark.parametrize("field", ["mu", "p", "epsilon", "V", "b", "theta_term", "a",
-                                       "tau_noise", "max_primal_iters"])
+                                       "tau_noise", "max_primal_iters", "T"])
     def test_nan_rejected(self, field):
         # and infinity, which would make a target vacuous
         for value in (float("nan"), float("inf")):
@@ -88,6 +88,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="max_primal_iters"):
             SolverConfig(max_primal_iters=cap)
         SolverConfig(max_primal_iters=1)
+
+    # the stage-1 budget is None (derived per step) or a count, as the cap is
+    @pytest.mark.parametrize("budget", [0, -3, 2.5, True, "3"])
+    def test_stage1_budget_is_a_count(self, budget):
+        with pytest.raises(ValueError, match="^T must"):
+            SolverConfig(T=budget)
+        assert SolverConfig(T=1).T == 1 and SolverConfig().T is None
 
 
 class TestStepsizeRule:
@@ -298,8 +305,8 @@ def newton_solve_oracle(problem, config):
         dual_cfg = DualControlConfig.from_lambda1(lam1, config.p, config.epsilon, config.T)
         w, cert = run_dual_with_error_control(net, H, split, dual_cfg, w_warm)
         metrics.count_price_solve(net, cert)
-        direction = primal_direction(net, H, g, w)
-        theta, sum_rounds = compute_theta(net, aux, direction.delta, H)
+        delta = primal_direction(net, H, g, w)
+        theta, sum_rounds = compute_theta(net, aux, delta, H)
         metrics.summation_rounds += sum_rounds
         if config.tau_noise:
             theta = max(0.0, theta + config.tau_noise * math.cos(float(k)))
@@ -307,8 +314,8 @@ def newton_solve_oracle(problem, config):
         d, damped_next = float(d), bool(damped_next)
         phase = "damped" if (damped and damped_next) else "quadratic"
         trace.append(TraceRecord(
-            k=k, f=eval_f(problem, x), h=eval_h(net, x), lambda_tilde=direction.decrement,
-            theta=theta, stepsize=d, phase=phase, dual_iters=cert.dual_iters,
+            k=k, f=eval_f(problem, x), h=eval_h(net, x),
+            lambda_tilde=float(inexact_decrement(delta, H)), theta=theta, stepsize=d, phase=phase, dual_iters=cert.dual_iters,
             consensus_rounds=metrics.consensus_rounds - consensus_start,
             summation_rounds=sum_rounds, min_slack=float(x[S:].min()), feas_residual=resid,
             certificate=cert, x=x.copy() if config.store_iterates else None,
@@ -318,7 +325,7 @@ def newton_solve_oracle(problem, config):
         if not damped and theta <= config.theta_term:
             converged = True
             break
-        x = x + d * direction.delta
+        x = x + d * delta
         if not np.all(x > 0):
             raise AssertionError("iterate lost strict positivity; stepsize window violated")
         resid = feasibility_residual(net, x)

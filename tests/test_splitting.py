@@ -11,7 +11,6 @@ from netnewton import (
     dual_step_matrix,
     init_dual_state,
     kkt_direction,
-    solve_dual_exact,
     spectral_diagnostics,
     spectral_radius,
     weighted_max_cut,
@@ -102,7 +101,7 @@ class TestDualIteration:
         rng = np.random.default_rng(2)
         x, H, g = random_positive_state(two_flow_network, rng)
         split = build_splitting(two_flow_network, H, g)
-        w_star = solve_dual_exact(two_flow_network, H, g)
+        w_star = kkt_direction(two_flow_network, H, g)[1]
         w_next = dual_step_matrix(split, w_star)
         np.testing.assert_allclose(w_next, w_star, rtol=0, atol=1e-12 * np.abs(w_star).max())
 
@@ -114,13 +113,13 @@ class TestDualIteration:
 
     def test_exact_solve_minimal(self, tiny_network):
         g = np.array([0.4, 2.2])
-        w = solve_dual_exact(tiny_network, np.ones(2), g)
+        w = kkt_direction(tiny_network, np.ones(2), g)[1]
         assert w[0] == pytest.approx(-(g[0] + g[1]) / 2)
 
     def test_geometric_decay_two_flow(self, two_flow_network):
         x, H, g = init_state(two_flow_network)
         split = build_splitting(two_flow_network, H, g)
-        w_star = solve_dual_exact(two_flow_network, H, g)
+        w_star = kkt_direction(two_flow_network, H, g)[1]
         lam1 = spectral_radius(build_dual_graph(two_flow_network, H))
         w = np.zeros(5)
         errs = []
@@ -203,7 +202,7 @@ class TestDualIteration:
     def test_exact_solve_two_flow_residual(self, two_flow_network):
         rng = np.random.default_rng(13)
         _, H, g = random_positive_state(two_flow_network, rng)
-        w = solve_dual_exact(two_flow_network, H, g)
+        w = kkt_direction(two_flow_network, H, g)[1]
         A = two_flow_network.incidence
         G = (A * (1 / H)) @ A.T
         rhs = -(A * (1 / H)) @ g
@@ -215,9 +214,8 @@ class TestDualIteration:
         # system, so the exact solve checks H as build_splitting does
         H = np.ones(7)
         H[2] = bad
-        for solve in (solve_dual_exact, kkt_direction):
-            with pytest.raises(ValueError, match="finite and strictly positive"):
-                solve(two_flow_network, H, np.zeros(7))
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            kkt_direction(two_flow_network, H, np.zeros(7))
 
     def test_uninitialized_aggregate_rejected(self, tiny_network):
         state = DualState(
