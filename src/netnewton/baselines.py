@@ -30,6 +30,10 @@ __all__ = [
 
 # Iterates per block of _price_iteration, between two bookkeeping passes.
 _BLOCK = 256
+# History entries a solve reserves at first; a page of the reservation is
+# mapped only once an entry on it is written. At least _BLOCK, so that one
+# doubling always makes room for the next block.
+_RESERVE = 2**20
 
 
 @dataclass(frozen=True)
@@ -99,9 +103,8 @@ def subgradient_family_stepsize(network: Network) -> float:
     the rate response (bounded by cap^2 / min utility weight for the
     utilities in use here). The stepsize is 90% of that bound.
     """
-    R = network.routing
-    longest_route = float(R.sum(axis=0).max())
-    busiest_link = float(R.sum(axis=1).max())
+    longest_route = float(network.route_lengths.max())
+    busiest_link = float(network.crossing_counts.max())
     cap = np.full(network.num_sources, float(network.capacities.max()))
     curv = float((-1.0 / utility_method(network, "d2")(cap)).max())
     return 0.9 * 2.0 / (longest_route * busiest_link * curv)
@@ -169,8 +172,11 @@ def _price_iteration(
     """The price loop of both baselines. Per iterate it runs only the price
     update, keeping each iterate's rates, overload and prices in a row of
     a block; after each block it evaluates the objective, the minimum
-    slack, the divergence test and the stopping rule over the block's rows,
-    so it stops on the same iterate as a check after every update would.
+    slack, the divergence test, the stopping rule and the band entry over
+    the block's rows, so it stops on the same iterate as a check after
+    every update would. Both histories are written in place into one
+    reservation per solve (doubled when a run fills it), and the result
+    holds views of its first `iterations` entries.
     Everything an iterate uses (the best response, the bound utility
     methods, the product R.dot, the ufuncs, its scalar operands as 0-d
     arrays, its temporaries, the rows it writes) is bound once per solve;
@@ -195,7 +201,9 @@ def _price_iteration(
     prices = np.empty((_BLOCK, L))
     rows = list(zip(rates, overload, prices))
     w = np.zeros(L)
-    h_blocks, slack_blocks = [], []
+    h_hist = np.empty(min(config.max_iters, _RESERVE))
+    slack_hist = np.empty_like(h_hist)
+    entry = 0  # where the history so far enters the band for good; done if it ends outside
     stable = 0
     h_prev = np.nan  # compares false: the first iterate has no predecessor
     done = 0
@@ -220,9 +228,15 @@ def _price_iteration(
                 w = maximum(zero, step, out=p)
         finite = prices[:n].max(axis=1) <= 1e12  # also catches nan
         m = n if finite.all() else int(np.argmin(finite))  # rows before divergence
-        values = value(np.maximum(rates[:m], 1e-300))
-        h = -values.sum(axis=-1)
-        slack = -overload[:m].max(axis=1)
+        if done + m > len(h_hist):
+            size = min(2 * len(h_hist), config.max_iters)
+            h_hist, slack_hist = (
+                np.concatenate((hist[:done], np.empty(size - done)))
+                for hist in (h_hist, slack_hist)
+            )
+        h, slack = h_hist[done:done + m], slack_hist[done:done + m]
+        np.negative(value(np.maximum(rates[:m], 1e-300)).sum(axis=-1), out=h)
+        np.negative(overload[:m].max(axis=1), out=slack)
         change = np.abs(h - np.append(h_prev, h[:-1]))
         settled = (change <= config.rel_change_tol * np.maximum(np.abs(h), 1e-12)) & (
             slack >= -1e-9
@@ -234,8 +248,12 @@ def _price_iteration(
             if stable >= config.stable_window:
                 converged, m = True, j + 1
                 break
-        h_blocks.append(h[:m])
-        slack_blocks.append(slack[:m])
+        if h_ref is not None:
+            block_entry = band_entry(h[:m], h_ref, config.band)
+            if block_entry is None:
+                entry = done + m
+            elif block_entry:
+                entry = done + block_entry
         done += m
         if converged:
             break
@@ -247,16 +265,14 @@ def _price_iteration(
     w = prices[m - 1].copy()
     with np.errstate(divide="ignore"):  # a log utility's response to a price of 0 is inf
         final = best_response(w, np.empty(S))
-    h_arr = np.concatenate(h_blocks)
-    entry = None if h_ref is None else band_entry(h_arr, h_ref, config.band)
     return FirstOrderResult(
         rates=final,
         prices=w,
-        objective_history=h_arr,
-        min_slack_history=np.concatenate(slack_blocks),
+        objective_history=h_hist[:done],
+        min_slack_history=slack_hist[:done],
         iterations=done,
         converged=converged,
-        iters_to_band=None if entry is None else entry + 1,
+        iters_to_band=entry + 1 if h_ref is not None and entry < done else None,
     )
 
 

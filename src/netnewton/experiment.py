@@ -223,6 +223,38 @@ def _newton_band_entry(result, h_ref: float, band: float) -> int | None:
     return sum(rec.dual_iters for rec in records[:entry])
 
 
+def _run_row(spec: ExperimentSpec, net: Network, method: str, row: TrialRow) -> None:
+    """Run the row's solve and fill the row from it. The result is local
+    to this call, so it is freed with its row, before the next row's solve
+    starts. A solve that did not converge records an error and no
+    counted_iters, whatever the method; its other fields are kept."""
+    h_ref = row.h_ref
+    if method == "newton":
+        res = two_pass_solve(net, spec.newton_config())
+        counted = res.total_dual_iters
+        row.iters_to_band = _newton_band_entry(res, h_ref, FirstOrderConfig.band)
+        row.h_final = res.h_final
+        row.rel_error = res.relative_error(h_ref)
+        row.final_feasible = bool((res.x[spec.sources:] >= 0).all())
+        row.min_slack_overall = min(rec.min_slack for rec in res.traces)
+    else:
+        stepsize = spec.stepsize(method)
+        if stepsize is None:
+            stepsize = subgradient_family_stepsize(net)
+        solve = subgradient_solve if method == "subgradient" else diagonal_scaled_solve
+        res = solve(net, spec.first_order_config(stepsize), h_ref=h_ref)
+        counted = res.iterations
+        row.iters_to_band = res.iters_to_band
+        row.h_final = res.h_final
+        row.rel_error = abs(res.h_final - h_ref) / max(abs(h_ref), 1.0)
+        row.final_feasible = bool(res.min_slack_history[-1] >= -1e-9)
+        row.min_slack_overall = float(res.min_slack_history.min())
+    if res.converged:
+        row.counted_iters = counted
+    else:
+        row.error = "did not meet the termination criterion"
+
+
 def run_comparison(spec: ExperimentSpec) -> ComparisonSummary:
     """Run every requested method on every seeded trial instance.
 
@@ -252,33 +284,7 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonSummary:
                 h_final=None, h_ref=h_ref, final_feasible=None,
             )
             try:
-                if method == "newton":
-                    res = two_pass_solve(net, spec.newton_config())
-                    row.counted_iters = res.total_dual_iters
-                    row.iters_to_band = _newton_band_entry(res, h_ref, FirstOrderConfig.band)
-                    row.h_final = res.h_final
-                    row.rel_error = res.relative_error(h_ref)
-                    row.final_feasible = bool(
-                        (res.x[spec.sources:] >= 0).all()
-                    )
-                    row.min_slack_overall = min(
-                        rec.min_slack for rec in res.traces
-                    )
-                else:
-                    stepsize = spec.stepsize(method)
-                    if stepsize is None:
-                        stepsize = subgradient_family_stepsize(net)
-                    solve = subgradient_solve if method == "subgradient" else diagonal_scaled_solve
-                    res = solve(net, spec.first_order_config(stepsize), h_ref=h_ref)
-                    if not res.converged:
-                        row.error = "did not meet the termination criterion"
-                    else:
-                        row.counted_iters = res.iterations
-                    row.iters_to_band = res.iters_to_band
-                    row.h_final = res.h_final
-                    row.rel_error = abs(res.h_final - h_ref) / max(abs(h_ref), 1.0)
-                    row.final_feasible = bool(res.min_slack_history[-1] >= -1e-9)
-                    row.min_slack_overall = float(res.min_slack_history.min())
+                _run_row(spec, net, method, row)
             except Exception as exc:  # recorded, not fatal
                 row.error = f"{type(exc).__name__}: {exc}"
             summary.rows.append(row)

@@ -335,6 +335,56 @@ class TestBlockedLoop:
                 diagonal_scaled_solve(two_flow_network, cfg)
 
 
+class TestHistoryWrites:
+    """_price_iteration writes both histories in place into one reservation
+    per solve and takes the band entry block by block; each case pins it
+    to the per-iteration oracle."""
+
+    @pytest.mark.parametrize("last_outside", [_BLOCK - 1, _BLOCK, "none", "last"])
+    def test_band_entry_at_block_edges(self, two_flow_network, last_outside):
+        # the histories do not depend on h_ref or band: a window longer than
+        # the run never stops it, so only the band entry moves
+        cfg = FirstOrderConfig(stepsize=0.01, max_iters=3 * _BLOCK, stable_window=10**9)
+        h = oracle_price_iteration(two_flow_network, cfg, None, False).objective_history
+        if last_outside == "none":
+            h_ref, band, expected_entry = h[-1], 1e6, 1
+        elif last_outside == "last":
+            h_ref, band, expected_entry = h[-1] + 1.0, 0.5 / max(abs(h[-1] + 1.0), 1.0), None
+        else:
+            # a band around the later entries that leaves out entry last_outside
+            later = h[last_outside + 1:]
+            h_ref = (later.max() + later.min()) / 2
+            radius = (later.max() - later.min()) / 2
+            assert abs(h[last_outside] - h_ref) > radius
+            band = (radius + abs(h[last_outside] - h_ref)) / 2 / max(abs(h_ref), 1.0)
+            expected_entry = last_outside + 2
+        cfg = FirstOrderConfig(
+            stepsize=0.01, max_iters=3 * _BLOCK, stable_window=10**9, band=band
+        )
+        expected = oracle_price_iteration(two_flow_network, cfg, h_ref, False)
+        assert expected.iters_to_band == expected_entry
+        assert_same_run(_price_iteration(two_flow_network, cfg, h_ref, False), expected)
+
+    @pytest.mark.parametrize("reserve", [_BLOCK, 300])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_run_past_the_reservation(self, monkeypatch, reserve, scaled):
+        # 1,000 updates fill a reservation of 256 (or 300) entries twice
+        monkeypatch.setattr("netnewton.baselines._RESERVE", reserve)
+        net = random_network(15, 8, 0.5, np.random.SeedSequence(7).spawn(1)[0])
+        _, h_ref = reference_optimum(net)
+        stepsize = (
+            FAMILY_FIXTURES["diagonal_stepsize"] if scaled else subgradient_family_stepsize(net)
+        )
+        cfg = FirstOrderConfig(stepsize=stepsize, max_iters=1000)
+        expected = oracle_price_iteration(net, cfg, h_ref, scaled)
+        assert expected.iterations > 2 * reserve
+        assert_same_run(_price_iteration(net, cfg, h_ref, scaled), expected)
+
+    def test_huge_max_iters_reserves_a_bounded_history(self, unit_link):
+        res = subgradient_solve(unit_link, FirstOrderConfig(stepsize=0.05, max_iters=10**15))
+        assert res.converged and res.iterations == 705
+
+
 class TestCapAssignment:
     """The best response assigns cap to a source whose route price is at
     most 1e-12 only when its clamped response at 1e-12 can fall short of

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,42 @@ class TestRunComparison:
         spec, summary = small_summary
         again = run_comparison(spec)
         assert json.dumps(summary.to_dict()) == json.dumps(again.to_dict())
+
+    def test_no_solve_outlives_its_row(self, monkeypatch):
+        # each row's first-order result, histories included, must be freed
+        # before the next row's solve starts
+        results, alive_at_start = [], []
+
+        def tracked(solve):
+            def wrapper(*args, **kwargs):
+                alive_at_start.append(sum(ref() is not None for ref in results))
+                res = solve(*args, **kwargs)
+                results.append(weakref.ref(res))
+                return res
+            return wrapper
+
+        for name in ("diagonal_scaled_solve", "subgradient_solve"):
+            monkeypatch.setattr(
+                netnewton.experiment, name, tracked(getattr(netnewton.experiment, name))
+            )
+        spec = ExperimentSpec(
+            trials=1, seed=7, methods=("diagonal", "subgradient"), max_first_order_iters=500
+        )
+        summary = run_comparison(spec)
+        assert [row.h_final is not None for row in summary.rows] == [True, True]
+        assert alive_at_start == [0, 0]
+        assert all(ref() is None for ref in results)
+
+    def test_unconverged_newton_row_records_error(self):
+        # at (120, 60) pass 2 of the two-pass solve does not converge
+        spec = ExperimentSpec(trials=1, links=120, sources=60, seed=7, methods=("newton",))
+        summary = run_comparison(spec)
+        (row,) = summary.rows
+        assert row.error == "did not meet the termination criterion"
+        assert row.counted_iters is None
+        assert row.rel_error > spec.a
+        assert None not in (row.h_final, row.final_feasible, row.min_slack_overall)
+        assert summary.failures("newton") == 1 and summary.mean_iters("newton") is None
 
     def test_spec_round_trip(self, tmp_path):
         path = tmp_path / "spec.json"
