@@ -12,12 +12,11 @@ order of magnitude as reproducible.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Network, utility_method
+from .model import Network, _check_count, utility_method
 
 __all__ = [
     "FirstOrderConfig",
@@ -69,11 +68,7 @@ class FirstOrderConfig:
             if not ((name == "rate_cap" and value is None) or 0 < value < np.inf):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         for name in ("max_iters", "stable_window"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not (self.max_iters >= 1 and self.stable_window >= 1):
-            raise ValueError("max_iters and stable_window must be at least 1")
+            _check_count(name, getattr(self, name))
         if not self.band > 0:
             raise ValueError("band must be positive")
         if not self.rel_change_tol >= 0:

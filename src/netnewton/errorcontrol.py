@@ -20,12 +20,11 @@ and the traced sweep count never see.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Network
+from .model import Network, _check_count
 from .splitting import SplittingData, dual_step_matrix
 
 __all__ = [
@@ -102,14 +101,6 @@ class DualControlConfig:
         if T is None:
             T = max(2, math.ceil(math.log(0.1) / math.log(F)))
         return cls(T=T, p=p, epsilon=epsilon, F=F)
-
-
-def _check_count(name: str, value) -> None:
-    """Reject a count that is not an integer >= 1 (a bool is not a count)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not value >= 1:
-        raise ValueError(f"{name} must be at least 1, got {value!r}")
 
 
 def _checked_aggregates(network, *aggregates) -> None:

@@ -27,7 +27,7 @@ from .baselines import (
     subgradient_family_stepsize,
     subgradient_solve,
 )
-from .model import InvalidNetworkError, LogUtility, Network, build_network
+from .model import InvalidNetworkError, LogUtility, Network, _is_number, build_network
 from .solver import SolverConfig, reference_optima, two_pass_solve
 
 __all__ = [
@@ -50,11 +50,6 @@ FAMILY_FIXTURES = {
 }
 
 
-def _is_number(value, kind) -> bool:
-    """True when value is an instance of the numbers ABC kind and not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative description of a comparison run."""
@@ -74,15 +69,14 @@ class ExperimentSpec:
     outdir: str | None = None
 
     def __post_init__(self):
-        # bool is an Integral and a Real, but true is not a trial count or a p
         for name in ("trials", "links", "sources", "seed", "max_first_order_iters"):
             if not _is_number(getattr(self, name), numbers.Integral):
                 raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
         reals = (self.bernoulli_p, self.a, *self.omega_range, *self.capacity_range)
-        if len(reals) != 6 or not all(_is_number(v, numbers.Real) for v in reals):
+        if len(self.omega_range) != 2 or len(reals) != 6 or not all(_is_number(v) for v in reals):
             raise TypeError("bernoulli_p, a and both ends of each range must be numbers")
         steps = (self.subgradient_stepsize, self.diagonal_stepsize)
-        if not all(v is None or _is_number(v, numbers.Real) for v in steps):
+        if not all(v is None or _is_number(v) for v in steps):
             raise TypeError(f"stepsizes must be numbers or null, got {steps!r}")
         if not isinstance(self.outdir, (str, type(None))):
             raise TypeError(f"outdir must be a string, got {self.outdir!r}")
@@ -141,6 +135,10 @@ def random_network(
         raise ValueError("links and sources must be positive")
     if not 0 < bernoulli_p <= 1:
         raise ValueError("bernoulli_p must lie in (0, 1]")
+    for name, (low, high) in (("omega_range", omega_range), ("capacity_range", capacity_range)):
+        # written so that it also rejects NaN
+        if not -np.inf < low <= high < np.inf:
+            raise ValueError(f"{name} must be finite with low <= high, got {(low, high)!r}")
     if not omega_range[0] >= 1:
         raise ValueError("log utility weights must be at least 1")
     if not capacity_range[0] > 0:

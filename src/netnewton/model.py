@@ -10,6 +10,7 @@ on the stacked vector x = (rates, slacks) of length S + L.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -31,7 +32,8 @@ __all__ = [
     "eval_h",
     "utility_method",
     "group_method",
-    "stack_utility_groups",
+    "network_stacks",
+    "take_trials",
     "barrier_objective",
     "barrier_grad",
     "barrier_hessian_diag",
@@ -128,9 +130,18 @@ class QuadraticUtility:
 UTILITY_FAMILIES = {"log": LogUtility, "quadratic": QuadraticUtility}
 
 
-def _is_json_number(value) -> bool:
-    """True for a JSON number: an int or float that is not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_number(value, kind=numbers.Real) -> bool:
+    """True when value is an instance of the numbers ABC kind and not a bool:
+    a bool is an Integral and a Real, but true is not a count or a capacity."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an integer >= 1."""
+    if not _is_number(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not value >= 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
 
 
 def utility_from_dict(spec: dict):
@@ -138,7 +149,7 @@ def utility_from_dict(spec: dict):
     if kind not in UTILITY_FAMILIES:
         raise InvalidNetworkError(f"unknown utility family {kind!r}")
     params = {k: v for k, v in spec.items() if k != "family"}
-    if not all(_is_json_number(v) for v in params.values()):
+    if not all(_is_number(v) for v in params.values()):
         raise InvalidNetworkError(f"utility parameters must be numbers, got {params}")
     return UTILITY_FAMILIES[kind](**params)
 
@@ -439,17 +450,29 @@ def _split(problem: BarrierProblem, x):
     return vals, vals[:S], vals[S:]
 
 
-def stack_utility_groups(networks) -> tuple:
-    """The utility_groups of networks that share one utility layout, with
-    each family's parameters stacked to (T, n): row t holds networks[t]'s.
-    group_method binds their methods to (T, S) rates."""
-    return tuple(
-        (idx, type(first)(**{
-            f.name: np.stack([getattr(net.utility_groups[j][1], f.name) for net in networks])
-            for f in fields(first)
-        }))
-        for j, (idx, first) in enumerate(networks[0].utility_groups)
-    )
+def network_stacks(networks) -> list:
+    """The stacks of networks that share (L, S) and each source's utility
+    family, in order of first appearance: per stack, its input indices, its
+    (T, L, S + L) incidence matrices, and its utility groups laid out as
+    Network.utility_groups with each parameter stacked to (T, n)."""
+    members = {}
+    for i, net in enumerate(networks):
+        key = (net.num_links, net.num_sources, tuple(type(u) for u in net.utilities))
+        members.setdefault(key, []).append(i)
+    stacks = []
+    for idx in members.values():
+        nets = [networks[i] for i in idx]
+        groups = tuple((sources, type(u)(**{
+            f.name: np.stack([getattr(net.utility_groups[j][1], f.name) for net in nets])
+            for f in fields(u)})) for j, (sources, u) in enumerate(nets[0].utility_groups))
+        stacks.append((idx, np.stack([net.incidence for net in nets]), groups))
+    return stacks
+
+
+def take_trials(groups, keep) -> tuple:
+    """The stacked utility groups of the trials keep (indices or a mask) selects."""
+    return tuple((sources, type(u)(**{f.name: getattr(u, f.name)[keep] for f in fields(u)}))
+                 for sources, u in groups)
 
 
 def group_method(groups, method: str):
@@ -563,7 +586,7 @@ def load_network(path) -> Network:
         raise InvalidNetworkError(f"malformed network file {path}: {exc}") from exc
     try:
         capacities = list(doc["links"])
-        if not all(_is_json_number(c) for c in capacities):
+        if not all(_is_number(c) for c in capacities):
             raise InvalidNetworkError(f"link capacities must be numbers, got {capacities}")
         sources = doc["sources"]
         routes = [list(entry["route"]) for entry in sources]

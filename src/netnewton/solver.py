@@ -19,13 +19,14 @@ import numpy as np
 
 from .auxgraph import build_auxiliary_graph, compute_theta
 from .direction import inexact_decrement, primal_direction, stacked_kkt_direction
-from .errorcontrol import DualControlConfig, _check_count, run_dual_with_error_control
+from .errorcontrol import DualControlConfig, run_dual_with_error_control
 from .metrics import MessageMetrics
 from .model import (
     FEASIBILITY_RTOL,
     BarrierProblem,
     Network,
     PrimalVector,
+    _check_count,
     barrier_grad,
     barrier_hessian_diag,
     barrier_objective,
@@ -34,7 +35,8 @@ from .model import (
     feasibility_residual,
     feasible_init,
     group_method,
-    stack_utility_groups,
+    network_stacks,
+    take_trials,
     utility_method,
 )
 from .splitting import build_splitting, spectral_diagnostics, spectral_radius
@@ -259,36 +261,36 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
 _REFERENCE_MAX_STEPS = 500
 
 
-def _exact_newton(networks, x, mu: float, scale: float, tol: float) -> list:
-    """The exact method on networks that share (L, S) and the utility
-    layout, from a (T, S + L) stack of points x updated in place, at barrier
-    weight mu and utility scale. Each step takes the dense exact direction
-    and the stepsize rule at the default V and b over the whole stack. A
-    trial keeps its own damped flag and leaves the stack when its decrement
-    reaches tol or after _REFERENCE_MAX_STEPS steps. Returns, per step, the
-    (decrements, stepsizes) of the trials still in the stack."""
-    S = networks[0].num_sources
-    A = np.stack([net.incidence for net in networks])
-    groups = stack_utility_groups(networks)
-    d1, d2 = group_method(groups, "d1"), group_method(groups, "d2")
+def _exact_newton(A, groups, x, mu: float, scale: float, tol: float) -> list:
+    """The exact method on a stack of network_stacks, from a (T, S + L) stack
+    of points x updated in place, at barrier weight mu and utility scale.
+    Each step takes the dense exact direction and the stepsize rule at the
+    default V and b. A trial keeps its own damped flag and leaves the stack
+    when its decrement reaches tol or after _REFERENCE_MAX_STEPS steps.
+    Returns, per step, the (decrements, stepsizes) of the trials still in it."""
+    S = A.shape[2] - A.shape[1]
     config = SolverConfig()
-    damped = np.ones(len(x), dtype=bool)
-    active = np.arange(len(x))
+    # the stack: its trials' indices into x, their points and damped flags
+    active, xa, damped = np.arange(len(x)), x, np.ones(len(x), dtype=bool)
     steps = []
     for _ in range(_REFERENCE_MAX_STEPS):
-        g = barrier_grad(x, S, mu, scale, d1)[active]
-        H = barrier_hessian_diag(x, S, mu, scale, d2)[active]
-        delta, _ = stacked_kkt_direction(A[active], H, g)
+        g = barrier_grad(xa, S, mu, scale, group_method(groups, "d1"))
+        H = barrier_hessian_diag(xa, S, mu, scale, group_method(groups, "d2"))
+        delta, _ = stacked_kkt_direction(A, H, g)
         lam = inexact_decrement(delta, H)
-        d, damped[active] = stepsize_rule(lam, damped[active], config.V, config.b)
+        d, damped = stepsize_rule(lam, damped, config.V, config.b)
         steps.append((lam, d))
         moving = ~(lam <= tol)
-        active = active[moving]
-        x[active] = x[active] + d[moving, None] * delta[moving]
-        if not np.all(x[active] > 0):
-            raise AssertionError("reference iterate lost strict positivity")
-        if not active.size:
+        if not moving.any():
             break
+        if not moving.all():
+            x[active] = xa
+            active, xa, A, damped = active[moving], xa[moving], A[moving], damped[moving]
+            d, delta, groups = d[moving], delta[moving], take_trials(groups, moving)
+        xa = xa + d[:, None] * delta
+        if not np.all(xa > 0):
+            raise AssertionError("reference iterate lost strict positivity")
+    x[active] = xa
     return steps
 
 
@@ -303,7 +305,8 @@ def reference_solve(problem: BarrierProblem, x0=None, tol: float = 1e-12) -> Sol
     net = problem.network
     start = feasible_init(net) if x0 is None else PrimalVector.checked(net, x0)
     x = np.array(start.values, ndmin=2)
-    steps = _exact_newton([net], x, problem.mu, problem.scale, tol)
+    (_, A, groups), = network_stacks([net])
+    steps = _exact_newton(A, groups, x, problem.mu, problem.scale, tol)
     trace = [(k, float(lam[0]), float(d[0])) for k, (lam, d) in enumerate(steps)]
     x = x[0]
     return SolveResult(
@@ -328,20 +331,14 @@ def reference_optima(networks) -> list:
 
     Each network follows the central path with warm starts: stage k runs
     the exact method at utility scale 10^k, for k = 0, ..., 8 (equivalent
-    to shrinking the barrier weight to 1e-8), to decrement 1e-10. Networks
-    that share (L, S) and the utility-family layout run as one stack; any
-    other runs as a batch of one.
+    to shrinking the barrier weight to 1e-8), to decrement 1e-10, in the
+    stacks of network_stacks.
     """
-    stacks = {}
-    for i, net in enumerate(networks):
-        key = (net.num_links, net.num_sources, tuple(type(u) for u in net.utilities))
-        stacks.setdefault(key, []).append(i)
     xs = [None] * len(networks)
-    for members in stacks.values():
-        stack = [networks[i] for i in members]
-        x = np.stack([feasible_init(net).values for net in stack])
+    for members, A, groups in network_stacks(networks):
+        x = np.stack([feasible_init(networks[i]).values for i in members])
         for k in range(9):
-            _exact_newton(stack, x, 1.0, 10.0**k, 1e-10)
+            _exact_newton(A, groups, x, 1.0, 10.0**k, 1e-10)
         for i, x_i in zip(members, x):
             xs[i] = x_i.copy()
     return [(x, eval_h(net, x)) for net, x in zip(networks, xs)]

@@ -68,6 +68,17 @@ class TestRandomNetwork:
         with pytest.raises(ValueError):
             random_network(**{**args, **kwargs})
 
+    @pytest.mark.parametrize("name, bad", [
+        ("capacity_range", (20.0, float("inf"))), ("capacity_range", (-float("inf"), 5.0)),
+        ("omega_range", (5.0, float("nan"))), ("omega_range", (float("nan"), 15.0)),
+        ("capacity_range", (50.0, 20.0)),
+    ])
+    def test_bad_range_rejected_by_name(self, name, bad):
+        # no uniform draw lies in a reversed or unbounded range; numpy would
+        # raise OverflowError, or a ValueError that names no range
+        with pytest.raises(ValueError, match=f"^{name} must be finite with low <= high"):
+            random_network(4, 3, 0.5, 0, **{name: bad})
+
     def test_redraw_cap(self):
         with pytest.raises(RuntimeError, match="draws"):
             # at this density a 20x20 draw with no empty column is hopeless
@@ -339,6 +350,10 @@ class TestCli:
         {"trials": 1, "diagonal_stepsize": True},
         # json writes infinity as Infinity, which it reads back as a float
         {"trials": 1, "a": float("inf")},
+        {"trials": 1, "capacity_range": [20.0, float("inf")]},
+        {"trials": 1, "omega_range": [5.0, float("nan")]},
+        {"trials": 1, "capacity_range": [50.0, 20.0]},
+        {"trials": 1, "omega_range": [5.0, 10.0, 15.0], "capacity_range": [20.0]},
     ])
     def test_malformed_spec_rejected(self, tmp_path, capsys, doc):
         spec = tmp_path / "spec.json"

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from netnewton import (
     feasibility_residual,
     feasible_init,
     load_network,
+    random_network,
     save_network,
 )
 from netnewton import build_auxiliary_graph
@@ -25,6 +27,8 @@ from netnewton.model import (
     barrier_grad,
     barrier_hessian_diag,
     barrier_objective,
+    network_stacks,
+    take_trials,
     utility_method,
 )
 
@@ -455,3 +459,56 @@ class TestBarrierProblem:
     def test_non_finite_rejected(self, tiny_network, field, value):
         with pytest.raises(ValueError, match=field):
             BarrierProblem(tiny_network, **{field: value})
+
+
+MIXED_ROUTING = [[1, 1, 0, 0, 1], [0, 1, 1, 1, 0], [1, 0, 1, 0, 1]]
+
+
+def mixed_variant(k: int):
+    """The mixed_network fixture's layout with parameters that differ by k."""
+    utilities = [
+        LogUtility(2.0 + k), QuadraticUtility(1.0 + k, 0.01), LogUtility(3.0),
+        QuadraticUtility(2.0, 0.05 / (k + 1)), LogUtility(1.5 * (k + 1)),
+    ]
+    return build_network(MIXED_ROUTING, [5.0, 10.0, 8.0 + k], utilities)
+
+
+def assert_same_groups(got, want):
+    assert len(got) == len(want)
+    for (idx, u), (idx_want, u_want) in zip(got, want):
+        assert type(u) is type(u_want)
+        np.testing.assert_array_equal(idx, idx_want)
+        for f in fields(u_want):
+            a, b = getattr(u, f.name), getattr(u_want, f.name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestNetworkStacks:
+    def test_stacks_follow_the_key_in_order_of_first_appearance(self, mixed_network):
+        # the last network has the mixed shape (L, S) but one utility family
+        nets = [mixed_variant(0), random_network(15, 8, 0.5, 1), mixed_network,
+                random_network(15, 8, 0.5, 2), mixed_variant(1), random_network(6, 4, 0.5, 3),
+                build_network(MIXED_ROUTING, [5.0, 10.0, 8.0], [LogUtility(2.0)] * 5)]
+        stacks = network_stacks(nets)
+        assert [members for members, _, _ in stacks] == [[0, 2, 4], [1, 3], [5], [6]]
+        for members, A, groups in stacks:
+            np.testing.assert_array_equal(A, [nets[i].incidence for i in members])
+            for t, i in enumerate(members):
+                for (idx, u), (idx_one, u_one) in zip(groups, nets[i].utility_groups):
+                    np.testing.assert_array_equal(idx, idx_one)
+                    for f in fields(u_one):
+                        np.testing.assert_array_equal(getattr(u, f.name)[t], getattr(u_one, f.name))
+        assert network_stacks([]) == []
+
+    @pytest.mark.parametrize("family", ["mixed", "log"])
+    def test_taken_trials_equal_their_own_stack_bit_for_bit(self, mixed_network, family):
+        if family == "mixed":  # two utility families, interleaved
+            nets = [mixed_network] + [mixed_variant(k) for k in range(1, 4)]
+        else:
+            nets = [random_network(15, 8, 0.5, [7, k]) for k in range(4)]
+        (_, A, groups), = network_stacks(nets)
+        for keep in ([2], [0, 3], [1, 2, 3], np.array([True, False, True, True])):
+            taken = np.arange(len(nets))[keep]
+            (_, A_own, groups_own), = network_stacks([nets[i] for i in taken])
+            assert A[keep].tobytes() == A_own.tobytes()
+            assert_same_groups(take_trials(groups, keep), groups_own)

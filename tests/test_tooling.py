@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -89,6 +90,25 @@ def test_one_function_calls_the_dense_solve():
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.solve"
     ]
     assert callers == ["direction.py:stacked_kkt_direction"]
+
+
+def test_one_function_stacks_networks():
+    # network_stacks alone stacks incidence matrices and utility parameters,
+    # so the stack key and the stacked layout are written once
+    package = Path(netnewton.__file__).resolve().parent
+    params = {f.name for family in netnewton.model.UTILITY_FAMILIES.values()
+              for f in dataclasses.fields(family)}
+    names = params | {"incidence", "utility_groups"}
+    callers = [
+        f"{path.name}:{func.name}"
+        for path in sorted(package.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.stack"
+        and names & {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(node)}
+    ]
+    assert callers == ["model.py:network_stacks"] * 2
 
 
 def test_stepsize_rule_is_applied_once_per_loop():
