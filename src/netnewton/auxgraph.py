@@ -196,7 +196,10 @@ class SummationRun:
 
     y_hist: np.ndarray
     z_hist: np.ndarray
-    rounds: int
+
+    @property
+    def rounds(self) -> int:
+        return len(self.y_hist) - 1
 
     @property
     def y_final(self) -> np.ndarray:
@@ -249,7 +252,7 @@ def distributed_sum(
         subtract(z, multiply(z_over, z_hist[t - 1], over_z), z)
         to_sources(z, y)
         subtract(y, multiply(y_over, y_hist[t - 1], over_y), y)
-    return SummationRun(y_hist, z_hist, rounds=n)
+    return SummationRun(y_hist, z_hist)
 
 
 def compute_theta(network: Network, aux: AuxiliaryGraph, delta, hessian_diag):

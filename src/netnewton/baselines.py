@@ -81,9 +81,12 @@ class FirstOrderResult:
     prices: np.ndarray
     objective_history: np.ndarray
     min_slack_history: np.ndarray
-    iterations: int
     converged: bool
     iters_to_band: int | None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objective_history)
 
     @property
     def h_final(self) -> float:
@@ -265,7 +268,6 @@ def _price_iteration(
         prices=w,
         objective_history=h_hist[:done],
         min_slack_history=slack_hist[:done],
-        iterations=done,
         converged=converged,
         iters_to_band=entry + 1 if h_ref is not None and entry < done else None,
     )

@@ -46,8 +46,8 @@ class ErrorCertificate:
     stage 1 acceptance means beta >= 1 (relative test alone suffices for
     any epsilon); stage 2 acceptance means consecutive prices moved less
     than h_threshold in sup norm. dual_iters counts the sweeps spent and
-    consensus_passes the network-wide maxima taken; the message charge
-    for both is MessageMetrics.count_price_solve.
+    consensus_passes the network-wide maxima taken; the metrics module
+    prices both.
     """
 
     stage: int

@@ -85,6 +85,11 @@ class ExperimentSpec:
         unknown = set(self.methods) - {"newton", "diagonal", "subgradient"}
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ValueError(f"methods listed more than once: {repeated}")
         # The configs the rows run with own the checks on a, the stepsizes
         # and the iteration cap, so building them here rejects what every
         # row would reject. A stepsize derived per instance needs no check.

@@ -3,14 +3,20 @@
 Counts what a real deployment would transmit: per dual sweep, one
 aggregate feedback to each source and one scaled push from each source to
 its route; consensus and aggregation rounds are tracked separately since
-the headline iteration count excludes them.
+the headline iteration count excludes them. A Newton solve is charged
+from the steps it executed, after its loop, by this module alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-__all__ = ["MessageMetrics"]
+__all__ = ["MessageMetrics", "consensus_rounds"]
+
+
+def consensus_rounds(network, cert) -> int:
+    """Rounds of a price solve's max-consensus passes, comm_diameter each."""
+    return cert.consensus_passes * network.comm_diameter
 
 
 @dataclass
@@ -25,24 +31,25 @@ class MessageMetrics:
     summation_rounds: int = 0
     aux_construction_rounds: int = 0
 
-    def count_dual_round(self, num_sources: int, times: int = 1) -> None:
-        """Charge `times` price sweeps, each one feedback to and one push
-        from every source."""
-        self.dual_rounds += times
-        self.dual_feedbacks += times * num_sources
-        self.dual_pushes += times * num_sources
-
-    def count_price_solve(self, network, cert) -> None:
-        """Charge one error-controlled price solve from its certificate:
-        the init exchange, its sweeps, and its max-consensus passes, each
-        comm_diameter rounds."""
+    @classmethod
+    def from_trace(cls, network, trace, construction_rounds: int) -> MessageMetrics:
+        """A finished Newton solve's totals, from its trace records. Each
+        step's price solve costs an init exchange (local Hessian/gradient
+        push, all-ones feedback, scaled price push) and one feedback to and
+        one push from every source per sweep."""
         S = network.num_sources
-        # init: local Hessian/gradient push, all-ones feedback, scaled price push
-        self.init_pushes += 2 * S
-        self.init_feedbacks += S
-        self.count_dual_round(S, cert.dual_iters)
-        self.consensus_execs += cert.consensus_passes
-        self.consensus_rounds += cert.consensus_passes * network.comm_diameter
+        sweeps = sum(rec.certificate.dual_iters for rec in trace)
+        return cls(
+            dual_rounds=sweeps,
+            init_pushes=2 * S * len(trace),
+            init_feedbacks=S * len(trace),
+            dual_pushes=S * sweeps,
+            dual_feedbacks=S * sweeps,
+            consensus_execs=sum(rec.certificate.consensus_passes for rec in trace),
+            consensus_rounds=sum(rec.consensus_rounds for rec in trace),
+            summation_rounds=sum(rec.summation_rounds for rec in trace),
+            aux_construction_rounds=construction_rounds,
+        )
 
     def totals(self) -> dict:
         return asdict(self)

@@ -155,9 +155,10 @@ def utility_from_dict(spec: dict):
 
 
 def _check_utilities(network: "Network", s_max: float) -> None:
-    """Reject utilities that are not strictly concave, nondecreasing on the
-    reachable rate range, or whose negation fails the self-concordance
-    inequality |U'''| <= 2 (-U'')**1.5 on a logarithmic sample grid.
+    """Reject utilities with a non-finite parameter, then those that are
+    not strictly concave, nondecreasing on the reachable rate range, or
+    whose negation fails the self-concordance inequality
+    |U'''| <= 2 (-U'')**1.5 on a logarithmic sample grid.
 
     Each utility family is checked once, over its stacked parameters; the
     error names the first failing utility and the first check it fails.
@@ -166,7 +167,13 @@ def _check_utilities(network: "Network", s_max: float) -> None:
     # monotone on (0, s_max]: rates can never exceed the largest capacity
     probe = np.append(_CHECK_GRID[_CHECK_GRID <= s_max], s_max)[:, None]
     S = network.num_sources
-    concave, concordant, monotone = (np.empty(S, dtype=bool) for _ in range(3))
+    finite, concave, concordant, monotone = (np.empty(S, dtype=bool) for _ in range(4))
+    for idx, u in network.utility_groups:
+        finite[idx] = np.all([np.isfinite(getattr(u, f.name)) for f in fields(u)], axis=0)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise InvalidNetworkError(
+            f"utility {index} has a non-finite parameter: {network.utilities[index]!r}")
 
     def holds(condition, idx):
         return np.broadcast_to(condition, (len(condition), len(idx))).all(axis=0)
@@ -320,7 +327,7 @@ def build_network(routing, capacities, utilities, routes=None) -> Network:
     Rejects empty instances, instances with an unused link or a source
     crossing no link, capacities that are not finite and positive, a link
     structure that does not hang together under shared flows, and
-    utilities that fail the concavity or self-concordance checks. When
+    utilities that fail _check_utilities. When
     routes is omitted, each route is the ascending list of that source's
     links.
     """

@@ -19,8 +19,8 @@ import numpy as np
 
 from .auxgraph import build_auxiliary_graph, compute_theta
 from .direction import inexact_decrement, primal_direction, stacked_kkt_direction
-from .errorcontrol import DualControlConfig, run_dual_with_error_control
-from .metrics import MessageMetrics
+from .errorcontrol import DualControlConfig, ErrorCertificate, run_dual_with_error_control
+from .metrics import MessageMetrics, consensus_rounds
 from .model import (
     FEASIBILITY_RTOL,
     BarrierProblem,
@@ -138,14 +138,17 @@ class TraceRecord:
     theta: float
     stepsize: float
     phase: str
-    dual_iters: int
     consensus_rounds: int
     summation_rounds: int
     min_slack: float
     feas_residual: float
-    certificate: object = None
+    certificate: ErrorCertificate
     x: np.ndarray | None = None
     dual_graph: dict | None = None
+
+    @property
+    def dual_iters(self) -> int:
+        return self.certificate.dual_iters
 
 
 @dataclass
@@ -179,8 +182,6 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
     net = problem.network
     S = net.num_sources
     aux = build_auxiliary_graph(net)
-    metrics = MessageMetrics()
-    metrics.aux_construction_rounds = aux.rounds
     x = feasible_init(net).values.copy()
     resid = feasibility_residual(net, x)
     # Bound once per solve: the utility methods. Each step's layers
@@ -193,7 +194,6 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
     converged = False
 
     for k in range(config.max_primal_iters):
-        consensus_start = metrics.consensus_rounds
         g = barrier_grad(x, S, mu, scale, d1)
         H = barrier_hessian_diag(x, S, mu, scale, d2)
         split = build_splitting(net, H, g)
@@ -202,10 +202,8 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
         lam1 = spectral_radius(split) if spectra is None else spectra.lambda1
         dual_cfg = DualControlConfig.from_lambda1(lam1, config.p, config.epsilon, config.T)
         w, cert = run_dual_with_error_control(net, H, split, dual_cfg, w_warm)
-        metrics.count_price_solve(net, cert)
         delta = primal_direction(net, H, g, w)
         theta, sum_rounds = compute_theta(net, aux, delta, H)
-        metrics.summation_rounds += sum_rounds
         if config.tau_noise:
             theta = max(0.0, theta + config.tau_noise * math.cos(float(k)))
         d, damped_next = stepsize_rule(theta, damped, config.V, config.b)
@@ -220,8 +218,7 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
             theta=theta,
             stepsize=d,
             phase=phase,
-            dual_iters=cert.dual_iters,
-            consensus_rounds=metrics.consensus_rounds - consensus_start,
+            consensus_rounds=consensus_rounds(net, cert),
             summation_rounds=sum_rounds,
             min_slack=float(x[S:].min()),
             feas_residual=resid,
@@ -250,7 +247,7 @@ def newton_solve(problem: BarrierProblem, config: SolverConfig) -> SolveResult:
         x=x,
         trace=trace,
         converged=converged,
-        metrics=metrics,
+        metrics=MessageMetrics.from_trace(net, trace, aux.rounds),
         f_final=f_final,
         h_final=h_final,
     )
@@ -639,8 +636,7 @@ def trace_to_json(result: SolveResult, config: SolverConfig | None = None) -> di
         }
     for rec in result.trace:
         row = {c: getattr(rec, c) for c in _JSON_TRACE_COLUMNS}
-        if rec.certificate is not None:
-            row["certificate"] = rec.certificate.to_dict()
+        row["certificate"] = rec.certificate.to_dict()
         if rec.dual_graph is not None:
             row["dual_graph"] = rec.dual_graph
         doc["trace"].append(row)

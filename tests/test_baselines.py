@@ -50,7 +50,6 @@ def oracle_price_iteration(network, config, h_ref, scaled):
     stable = 0
     h_prev = None
     converged = False
-    iterations = config.max_iters
     for k in range(1, config.max_iters + 1):
         s = oracle_best_response(network, w, cap)
         overload = R @ s - c
@@ -78,7 +77,6 @@ def oracle_price_iteration(network, config, h_ref, scaled):
         stable = stable + 1 if settled else 0
         if stable >= config.stable_window:
             converged = True
-            iterations = k
             break
         h_prev = h
     h_arr = np.array(h_hist)
@@ -93,7 +91,6 @@ def oracle_price_iteration(network, config, h_ref, scaled):
         prices=w,
         objective_history=h_arr,
         min_slack_history=np.array(slack_hist),
-        iterations=iterations,
         converged=converged,
         iters_to_band=iters_to_band,
     )

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from netnewton import (
 )
 
 from netnewton.errorcontrol import _largest
+from netnewton.metrics import consensus_rounds
 
 from conftest import draw_network, init_state
 
@@ -547,12 +549,16 @@ class TestRunWithErrorControl:
         cfg = DualControlConfig(T=3, p=1e-3, epsilon=1e-4, F=control_setup(two_flow_network, H))
         split = build_splitting(two_flow_network, H, g)
         w, cert = run_dual_with_error_control(two_flow_network, H, split, cfg)
-        metrics = MessageMetrics()
-        metrics.count_price_solve(two_flow_network, cert)
+        # one step's trace record, as the metrics read it
+        step = SimpleNamespace(certificate=cert, summation_rounds=3,
+                               consensus_rounds=consensus_rounds(two_flow_network, cert))
+        metrics = MessageMetrics.from_trace(two_flow_network, [step], 1)
         assert metrics.dual_rounds == cert.dual_iters
-        assert metrics.dual_feedbacks == 2 * metrics.dual_rounds  # S = 2
-        assert metrics.consensus_execs >= 2
+        assert metrics.dual_feedbacks == metrics.dual_pushes == 2 * metrics.dual_rounds  # S = 2
+        assert (metrics.init_pushes, metrics.init_feedbacks) == (4, 2)
+        assert metrics.consensus_execs == cert.consensus_passes >= 2
         assert metrics.consensus_rounds == metrics.consensus_execs * two_flow_network.comm_diameter
+        assert (metrics.summation_rounds, metrics.aux_construction_rounds) == (3, 1)
 
     def test_buffered_sweeps_match_the_allocating_loop(self):
         rng = np.random.default_rng(100)

@@ -12,7 +12,6 @@ import netnewton
 from netnewton import (
     BarrierProblem,
     LogUtility,
-    MessageMetrics,
     SolverConfig,
     build_auxiliary_graph,
     build_network,
@@ -120,20 +119,6 @@ class TestMetrics:
             30, 25, 25, 30, 30, 30, 35, 40, 45, 50, 65, 90, 130, 170, 210, 225,
             220, 175, 10, 10, 10, 10, 10,
         ]
-
-    def test_standalone_counter(self):
-        m = MessageMetrics()
-        m.count_dual_round(3)
-        m.count_dual_round(3)
-        assert m.totals()["dual_rounds"] == 2
-        assert m.totals()["dual_feedbacks"] == 6
-
-    def test_batched_dual_rounds_match_single_rounds(self):
-        single, batched = MessageMetrics(), MessageMetrics()
-        for _ in range(5):
-            single.count_dual_round(3)
-        batched.count_dual_round(3, 5)
-        assert batched.totals() == single.totals()
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +302,19 @@ class TestCli:
         assert main(["solve", str(bad)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
 
+    # the log case used to fail on the Hessian, the quadratic one on stage 2
+    # after two numpy warnings
+    @pytest.mark.parametrize("utility", [
+        '{"family": "log", "weight": Infinity}',
+        '{"family": "quadratic", "slope": Infinity, "curvature": 1.0}',
+    ], ids=["log", "quadratic"])
+    def test_non_finite_utility_rejected(self, tmp_path, capsys, utility):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"links": [1.0], "sources": [{{"route": [0], "utility": {utility}}}]}}')
+        assert main(["solve", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "utility 0 has a non-finite parameter" in err
+
     @pytest.mark.parametrize("links", ['[true, 2.5]', '[1.0, "2.5"]', '"12"'])
     def test_non_numeric_capacities_rejected(self, tmp_path, capsys, links):
         bad = tmp_path / "bad.json"
@@ -354,6 +352,9 @@ class TestCli:
         {"trials": 1, "omega_range": [5.0, float("nan")]},
         {"trials": 1, "capacity_range": [50.0, 20.0]},
         {"trials": 1, "omega_range": [5.0, 10.0, 15.0], "capacity_range": [20.0]},
+        # a repeated method ran its rows twice, and no method wrote an empty study
+        {"trials": 1, "methods": ["newton", "newton"]},
+        {"trials": 1, "methods": []},
     ])
     def test_malformed_spec_rejected(self, tmp_path, capsys, doc):
         spec = tmp_path / "spec.json"

@@ -72,6 +72,18 @@ class TestBuildNetwork:
         with pytest.raises(InvalidNetworkError, match="decreasing"):
             build_network([[1]], [2.0], [QuadraticUtility(slope=1.0, curvature=2.0)])
 
+    # each was rejected only by a later check, or accepted (inf weight or slope)
+    @pytest.mark.parametrize("utility", [
+        LogUtility(float("inf")), LogUtility(float("nan")), LogUtility(-float("inf")),
+        QuadraticUtility(slope=float("inf"), curvature=1.0),
+        QuadraticUtility(slope=float("nan"), curvature=1.0),
+        QuadraticUtility(slope=1.0, curvature=float("inf")),
+    ], ids=repr)
+    def test_non_finite_utility_parameter_rejected(self, utility):
+        with pytest.raises(InvalidNetworkError,
+                           match=r"^utility 1 has a non-finite parameter: .*Utility\("):
+            build_network([[1, 1]], [1.0], [LogUtility(2.0), utility])
+
     def test_quadratic_valid_when_monotone_on_range(self):
         net = build_network([[1]], [2.0], [QuadraticUtility(slope=1.0, curvature=0.25)])
         assert net.utilities[0].curvature == 0.25

@@ -287,8 +287,9 @@ def newton_solve_oracle(problem, config):
     net = problem.network
     S = net.num_sources
     aux = build_auxiliary_graph(net)
-    metrics = MessageMetrics()
-    metrics.aux_construction_rounds = aux.rounds
+    # the running message tally newton_solve kept before it read its
+    # counts from the finished trace
+    metrics = MessageMetrics(aux_construction_rounds=aux.rounds)
     x = feasible_init(net).values.copy()
     resid = feasibility_residual(net, x)
     w_warm = np.ones(net.num_links)
@@ -304,7 +305,13 @@ def newton_solve_oracle(problem, config):
         lam1 = spectral_radius(split) if spectra is None else spectra.lambda1
         dual_cfg = DualControlConfig.from_lambda1(lam1, config.p, config.epsilon, config.T)
         w, cert = run_dual_with_error_control(net, H, split, dual_cfg, w_warm)
-        metrics.count_price_solve(net, cert)
+        metrics.init_pushes += 2 * S
+        metrics.init_feedbacks += S
+        metrics.dual_rounds += cert.dual_iters
+        metrics.dual_feedbacks += S * cert.dual_iters
+        metrics.dual_pushes += S * cert.dual_iters
+        metrics.consensus_execs += cert.consensus_passes
+        metrics.consensus_rounds += cert.consensus_passes * net.comm_diameter
         delta = primal_direction(net, H, g, w)
         theta, sum_rounds = compute_theta(net, aux, delta, H)
         metrics.summation_rounds += sum_rounds
@@ -315,7 +322,7 @@ def newton_solve_oracle(problem, config):
         phase = "damped" if (damped and damped_next) else "quadratic"
         trace.append(TraceRecord(
             k=k, f=eval_f(problem, x), h=eval_h(net, x),
-            lambda_tilde=float(inexact_decrement(delta, H)), theta=theta, stepsize=d, phase=phase, dual_iters=cert.dual_iters,
+            lambda_tilde=float(inexact_decrement(delta, H)), theta=theta, stepsize=d, phase=phase,
             consensus_rounds=metrics.consensus_rounds - consensus_start,
             summation_rounds=sum_rounds, min_slack=float(x[S:].min()), feas_residual=resid,
             certificate=cert, x=x.copy() if config.store_iterates else None,

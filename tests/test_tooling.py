@@ -263,12 +263,18 @@ def test_study_makes_one_recorded_call_per_row_in_row_order():
     assert nets[0] is not nets[1]
 
 
-@pytest.mark.parametrize("module, fails", [("netnewton.baselines", True), ("elsewhere", False)])
-def test_deprecation_fails_only_in_netnewton_code(module, fails):
+@pytest.mark.parametrize("category, module, fails", [
+    pytest.param(DeprecationWarning, "netnewton.baselines", True, id="netnewton.baselines-True"),
+    pytest.param(DeprecationWarning, "elsewhere", False, id="elsewhere-False"),
+    pytest.param(RuntimeWarning, "netnewton.splitting", True, id="runtime-netnewton.splitting-True"),
+    pytest.param(RuntimeWarning, "elsewhere", False, id="runtime-elsewhere-False"),
+])
+def test_deprecation_fails_only_in_netnewton_code(category, module, fails):
     # pyproject's filterwarnings turns a DeprecationWarning raised from
     # netnewton code, such as numpy 2.4's for a positional out on
-    # np.maximum, into an error; elsewhere it stays a warning
-    code = compile("warnings.warn('old call style', DeprecationWarning)", module, "exec")
-    scope = {"__name__": module, "warnings": warnings}
-    with pytest.raises(DeprecationWarning) if fails else pytest.warns(DeprecationWarning):
+    # np.maximum, into an error, and a RuntimeWarning, such as numpy's for
+    # an overflow, in any netnewton module too; elsewhere each stays a warning
+    code = compile("warnings.warn('message', category)", module, "exec")
+    scope = {"__name__": module, "warnings": warnings, "category": category}
+    with pytest.raises(category) if fails else pytest.warns(category):
         exec(code, scope)
