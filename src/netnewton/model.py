@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +65,6 @@ class LogUtility:
     weight: float = 1.0
 
     family = "log"
-    nonnegative_response = True  # inverse_d1 is the weight (at least 1) over the price
 
     def value(self, s):
         return self.weight * np.log(s)
@@ -73,15 +72,18 @@ class LogUtility:
     def d1(self, s):
         return self.weight / s
 
-    def d2(self, s):
-        return self._minus_weight / s**2
+    def d2(self, s, out=None):
+        return np.divide(self._minus_weight, np.square(s, out), out)
 
     def d3(self, s):
         return 2.0 * self.weight / s**3
 
-    def inverse_d1(self, price):
-        """Rate at which marginal utility equals the given price."""
-        return self.weight / price
+    @cached_property
+    def inverse_d1(self):
+        """price, out=None -> the rate at which marginal utility equals the
+        price, weight / price: np.divide bound to the weight once per
+        instance, so a call runs one ufunc and no Python frame."""
+        return partial(np.divide, self.weight)
 
     @cached_property
     def _minus_weight(self):
@@ -114,14 +116,14 @@ class QuadraticUtility:
     def d1(self, s):
         return self.slope - self.curvature * s
 
-    def d2(self, s):
-        return -self.curvature * np.ones_like(np.asarray(s, dtype=float))
+    def d2(self, s, out=None):
+        return np.multiply(-self.curvature, np.ones_like(np.asarray(s, dtype=float)), out)
 
     def d3(self, s):
         return np.zeros_like(np.asarray(s, dtype=float))
 
-    def inverse_d1(self, price):
-        return (self.slope - price) / self.curvature
+    def inverse_d1(self, price, out=None):
+        return np.divide(np.subtract(self.slope, price, out), self.curvature, out)
 
     def to_dict(self):
         return {"family": "quadratic", "slope": self.slope, "curvature": self.curvature}
@@ -491,8 +493,8 @@ def group_method(groups, method: str):
         return getattr(groups[0][1], method)
     bound = [(idx, getattr(stacked, method)) for idx, stacked in groups]
 
-    def scatter(s):
-        out = np.empty(s.shape)
+    def scatter(s, out=None):
+        out = np.empty(s.shape) if out is None else out
         for idx, fn in bound:
             out[..., idx] = fn(s[..., idx])
         return out
@@ -505,7 +507,9 @@ def utility_method(network: Network, method: str):
     d2, d3 or inverse_d1): entry [..., i] is
     network.utilities[i].<method>(s[..., i]), evaluated family by family.
     The last axis of s is the sources; leading axes stack several rate
-    vectors. Bind it once where a loop calls it."""
+    vectors. inverse_d1 and d2 also take out, an array of s's shape that
+    they write the terms into and return. Bind it once where a loop calls
+    it."""
     return group_method(network.utility_groups, method)
 
 

@@ -38,10 +38,12 @@ def oracle_best_response(network, prices, cap):
     return np.where(route_price > 1e-12, np.minimum(np.maximum(s, 0.0), cap), cap)
 
 
-def oracle_price_iteration(network, config, h_ref, scaled):
+def oracle_price_iteration(network, config, h_ref, scaled, trace=None):
     """Test oracle: the plain per-iteration form of _price_iteration, which
     runs the objective, slack, divergence test and stopping rule after every
-    price update. The blocked loop must reproduce it exactly."""
+    price update. The blocked loop must reproduce it exactly. A list given
+    as trace receives, per update, the route prices, the unclamped
+    responses to them and (scaled) the curvatures before the floor."""
     R = network.routing
     c = network.capacities
     cap = config.rate_cap if config.rate_cap is not None else 2.0 * float(c.max())
@@ -50,14 +52,21 @@ def oracle_price_iteration(network, config, h_ref, scaled):
     stable = 0
     h_prev = None
     converged = False
+    band = None if h_ref is None else config.band * max(abs(h_ref), 1.0)
     for k in range(1, config.max_iters + 1):
         s = oracle_best_response(network, w, cap)
         overload = R @ s - c
+        curv = None
         if scaled:
             curv = R @ (-1.0 / utility_method(network, "d2")(s))
             step = config.stepsize * overload / np.maximum(curv, config.curvature_floor)
         else:
             step = config.stepsize * overload
+        if trace is not None:
+            route_price = R.T @ w
+            with np.errstate(all="ignore"):
+                response = utility_method(network, "inverse_d1")(route_price)
+            trace.append((route_price, response, curv))
         w = np.maximum(0.0, w + step)
         if not w.max() <= 1e12:
             raise RuntimeError(
@@ -67,7 +76,7 @@ def oracle_price_iteration(network, config, h_ref, scaled):
         min_slack = float(-overload.max())
         h_hist.append(h)
         slack_hist.append(min_slack)
-        in_band = True if h_ref is None else abs(h - h_ref) <= config.band_scale(h_ref)
+        in_band = True if h_ref is None else abs(h - h_ref) <= band
         settled = (
             h_prev is not None
             and abs(h - h_prev) <= config.rel_change_tol * max(abs(h), 1e-12)
@@ -82,7 +91,7 @@ def oracle_price_iteration(network, config, h_ref, scaled):
     h_arr = np.array(h_hist)
     iters_to_band = None
     if h_ref is not None:
-        inside = np.abs(h_arr - h_ref) <= config.band_scale(h_ref)
+        inside = np.abs(h_arr - h_ref) <= band
         outside = [k for k, ok in enumerate(inside) if not ok]
         entry = outside[-1] + 1 if outside else 0  # never leaves the band after
         iters_to_band = entry + 1 if entry < len(h_arr) else None
@@ -432,6 +441,128 @@ class TestCapAssignment:
             res = subgradient_solve(unit_link, cfg)
         assert res.prices.tolist() == [0.0] and res.rates.tolist() == [0.5]
         assert_same_run(res, oracle_price_iteration(unit_link, cfg, None, False))
+
+
+def binding_updates(trace, cap, floor):
+    """The updates of an oracle trace at which a clamp changes a value: a
+    response outside [0, cap] or NaN, a route price at most 1e-12 (where
+    the cap assignment may apply), or a curvature below the floor."""
+    return [
+        k for k, (route_price, response, curv) in enumerate(trace)
+        if not ((response >= 0) & (response <= cap)).all() or (route_price <= 1e-12).any()
+        or (curv is not None and not (curv >= floor).all())
+    ]
+
+
+class TestClampCheck:
+    """A block runs without the clamps and is rerun with them when one
+    would have changed a value; the blocks after it keep the clamps until
+    a clamped block shows that none bound. In each case a clamp binds
+    after block 0, which the oracle's trace shows, and the blocked loop
+    must still reproduce the oracle bit for bit."""
+
+    @staticmethod
+    def run(net, cfg, scaled, h_ref=None):
+        trace = []
+        expected = oracle_price_iteration(net, cfg, h_ref, scaled, trace)
+        cap = cfg.rate_cap if cfg.rate_cap is not None else 2.0 * float(net.capacities.max())
+        bound = binding_updates(trace, cap, cfg.curvature_floor)
+        assert_same_run(_price_iteration(net, cfg, h_ref, scaled), expected)
+        return expected, trace, bound
+
+    @pytest.mark.parametrize("scaled, stepsize", [(False, 1 / 1200), (True, 1 / 300)])
+    def test_rate_at_cap_through_several_blocks(self, unit_link, scaled, stepsize):
+        # the price climbs from 0 slowly enough that the log response stays
+        # above the cap 2 for 600 updates; the blocks after run unclamped
+        cfg = FirstOrderConfig(stepsize=stepsize, max_iters=3000)
+        _, _, bound = self.run(unit_link, cfg, scaled)
+        assert bound == list(range(600))
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_route_price_vanishes_through_several_blocks(self, scaled):
+        # the quadratic's break point 3 lies below the cap 4, so the cap
+        # assignment is live, and at this stepsize its route price stays at
+        # most 1e-12 for more than three blocks
+        net = build_network(
+            TWO_FLOW_ROUTING, [1, 1, 2, 1, 1], [LogUtility(1.0), QuadraticUtility(3.0, 1.0)]
+        )
+        cfg = FirstOrderConfig(stepsize=1e-16, max_iters=1000)
+        _, trace, _ = self.run(net, cfg, scaled)
+        assert trace[3 * _BLOCK + 50][0][1] <= 1e-12
+
+    def test_route_price_vanishes_after_idle_blocks(self):
+        # the log rate balances the capacity 2e12 at the route price 5e-13,
+        # where the response 2e12 lies below the cap 2e15, so the cap
+        # assignment alone binds there: from its first step the price falls
+        # by about 1e-14 per update and passes 1e-12 in block 4, after
+        # blocks in which no clamp bound
+        net = build_network([[1]], [2e12], [LogUtility(1.0)])
+        cfg = FirstOrderConfig(stepsize=5e-27, max_iters=2000, rate_cap=2e15)
+        _, trace, bound = self.run(net, cfg, False)
+        assert bound == [0, 1047]
+        route_price, response, _ = trace[1047]
+        assert 0 < route_price[0] <= 1e-12 and response[0] < 2e15
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_rate_cap_below_the_settled_rate(self, scaled):
+        # the weight-3 source settles at the cap 0.6, below its response
+        # 1.2, so the rate clamp binds on every update of a long run
+        net = build_network([[1, 1]], [1.0], [LogUtility(1.0), LogUtility(3.0)])
+        cfg = FirstOrderConfig(stepsize=0.05, rate_cap=0.6)
+        expected, _, bound = self.run(net, cfg, scaled)
+        assert expected.converged and expected.iterations > 3 * _BLOCK
+        assert bound == list(range(expected.iterations))
+        assert expected.rates.tolist()[1] == 0.6
+
+    def test_curvature_floor_above_the_curvatures(self, two_flow_network):
+        # the link curvatures settle at 1 and 2, below the floor 10
+        cfg = FirstOrderConfig(stepsize=0.05, max_iters=1500, curvature_floor=10.0)
+        _, _, bound = self.run(two_flow_network, cfg, True)
+        assert {k // _BLOCK for k in bound} == set(range(-(-1500 // _BLOCK)))
+
+    @pytest.mark.parametrize("scaled, stepsize", [(False, 5e-4), (True, 2e-3)])
+    def test_quadratic_driven_to_rate_zero_mid_run(self, scaled, stepsize):
+        # the log response leaves the cap at price 0.75 and the quadratic's
+        # turns negative past its slope 1, so after an unclamped block the
+        # clamp at 0 binds to the end
+        net = build_network([[1, 1]], [1.0], [LogUtility(1.5), QuadraticUtility(1.0, 1.0)])
+        cfg = FirstOrderConfig(stepsize=stepsize, max_iters=4000)
+        expected, trace, bound = self.run(net, cfg, scaled)
+        idle = sorted(set(range(cfg.max_iters // _BLOCK)) - {k // _BLOCK for k in bound})
+        resumed = [k for k in bound if k // _BLOCK > idle[0]]
+        assert resumed == list(range(resumed[0], cfg.max_iters))
+        assert trace[resumed[0]][1][1] < 0 and expected.rates.tolist()[1] == 0.0
+
+    @pytest.mark.parametrize("max_iters", [3 * _BLOCK, 600])
+    def test_clamp_binds_only_in_a_blocks_last_row(self, unit_link, max_iters):
+        # the curvature falls on every update after the rate leaves the cap,
+        # so a floor between the last two curvatures binds on the last update
+        # alone: the last row of a full block, or of the partial last block,
+        # either of which runs unclamped first
+        cfg = FirstOrderConfig(stepsize=0.02, max_iters=max_iters)
+        trace = []
+        oracle_price_iteration(unit_link, cfg, None, True, trace)
+        curv = [float(k[0]) for _, _, k in trace]
+        assert all(a > b for a, b in zip(curv[100:], curv[101:]))
+        floor = (curv[-2] + curv[-1]) / 2
+        cfg = FirstOrderConfig(stepsize=0.02, max_iters=max_iters, curvature_floor=floor)
+        _, _, bound = self.run(unit_link, cfg, True)
+        assert bound == [*range(100), max_iters - 1]
+
+    def test_divergence_in_a_later_block(self):
+        # after the rate leaves the cap 1e15, the price grows by about 5% per
+        # update, unclamped for more than a block, and passes 1e12 in block 2
+        net = build_network([[1]], [1.0], [LogUtility(1e15)])
+        cfg = FirstOrderConfig(stepsize=0.05, max_iters=10000, rate_cap=1e15)
+        trace = []
+        with pytest.raises(RuntimeError, match="diverged at step 653;"):
+            oracle_price_iteration(net, cfg, None, True, trace)
+        bound = binding_updates(trace, 1e15, cfg.curvature_floor)
+        assert not set(bound) & set(range(_BLOCK, 2 * _BLOCK))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeError, match="diverged at step 653;"):
+                _price_iteration(net, cfg, None, True)
 
 
 def test_study_trial_counts_pinned():

@@ -11,11 +11,9 @@ from pathlib import Path
 import numpy as np
 
 from netnewton import (
-    BarrierProblem,
     FirstOrderConfig,
     SolverConfig,
     diagonal_scaled_solve,
-    newton_solve,
     random_network,
     reference_optimum,
     subgradient_family_stepsize,
@@ -61,15 +59,16 @@ def test_study_h_refs_match_independent_dual_minimum():
 
 def test_scale_ladder_counts_pinned():
     # (price sweeps, primal steps) of one newton_solve per rung, as the
-    # scale-newton workload runs it
-    workloads = load_bench("bench_workloads")
+    # scale-newton workload runs it, read from the trace file, whose
+    # solves tests/test_traces.py checks against fresh ones
+    from test_traces import GOLDEN_TRACES
+
+    solves = json.loads(GOLDEN_TRACES.read_text())["solves"]
     counts = []
-    for links, sources in workloads.SCALE_LADDER:
-        net = random_network(links, sources, workloads.SCALE_P,
-                             [workloads.INSTANCE_SEED, links, sources])
-        res = newton_solve(BarrierProblem(net, 1.0, 1.0), SolverConfig())
-        assert res.converged
-        counts.append((res.total_dual_iters, res.primal_iters))
+    for links, sources in load_bench("bench_workloads").SCALE_LADDER:
+        solve = solves[f"ladder{links}x{sources}/default"]
+        assert solve["converged"]
+        counts.append((solve["metrics"]["dual_rounds"], len(solve["steps"])))
     assert counts == [(936, 20), (3326, 22), (8013, 32), (22797, 34)]
 
 

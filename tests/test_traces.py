@@ -31,15 +31,16 @@ CONFIGS = {
     "mu2_spectra_noise": SolverConfig(mu=2.0, record_spectra=True, tau_noise=0.01),
     "cold_T1": SolverConfig(T=1, dual_warm_start=False),
 }
-# Floats are compared within criterion 10's GOLDEN_RTOL, relative: a build
-# of numpy or BLAS may round differently (by at most 1.9e-15 relative so
-# far), and a change to what a step computes (one more sweep, another F,
-# another stepsize) moves a count, a phase or a stage, which are compared
-# exactly, or a float by far more than 1e-12 on the steps after it. A
-# change of rounding order inside a layer is left to the per-layer
-# oracles. feas_residual is itself a relative residual made of rounding
-# alone, so it is compared within GOLDEN_RTOL absolute, as criterion 10
-# compares rel_error.
+# On the numpy version, BLAS and SIMD extensions the file was recorded
+# with, every float is compared exactly, so a change of rounding anywhere in a step (a 1-ulp
+# change of F's headroom, say) fails. On another build, which may round
+# differently (by at most 1.9e-15 relative so far), floats are compared
+# within criterion 10's GOLDEN_RTOL, relative: a change to what a step
+# computes (one more sweep, another F, another stepsize) still moves a
+# count, a phase or a stage, which are always compared exactly, or a float
+# by far more than 1e-12 on the steps after it. There, feas_residual, itself
+# a relative residual made of rounding alone, is compared within
+# GOLDEN_RTOL absolute, as criterion 10 compares rel_error.
 _ABSOLUTE = {"feas_residual"}
 
 
@@ -86,12 +87,26 @@ def traces_record() -> dict:
     return json.loads(json.dumps(solves))
 
 
+def build() -> dict:
+    """The numpy version, BLAS and SIMD extensions of this process, as the
+    file records them: the same numpy and BLAS pick other kernels, which
+    may round differently, on a CPU with other extensions."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "simd": " ".join(config["SIMD Extensions"]["found"])}
+
+
 def test_every_newton_step_matches_golden():
     golden = json.loads(GOLDEN_TRACES.read_text())
-    versions = f"numpy {np.__version__} here, {golden['numpy']} in {GOLDEN_TRACES.name}"
+    here = build()
+    recorded = {key: golden.get(key) for key in here}
+    exact = here == recorded
+    mode = (f"compared exactly on the recording build {here}" if exact else
+            f"compared within GOLDEN_RTOL: {here} here, {recorded} in {GOLDEN_TRACES.name}")
 
     def same(field, got, want):
-        if isinstance(got, float) and isinstance(want, float):
+        if not exact and isinstance(got, float) and isinstance(want, float):
             scale = 1.0 if field in _ABSOLUTE else abs(want)
             return abs(got - want) <= GOLDEN_RTOL * scale
         return type(got) is type(want) and got == want
@@ -107,13 +122,11 @@ def test_every_newton_step_matches_golden():
                 compare(f"{where}[{i}]", g, w)
         else:
             field = where.rsplit(".", 1)[-1]
-            assert same(field, got, want), f"{where}: {got!r} != {want!r} ({versions})"
+            assert same(field, got, want), f"{where}: {got!r} != {want!r} ({mode})"
 
     compare("solves", traces_record(), golden["solves"])
 
 
 if __name__ == "__main__":
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    doc = {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
-           "solves": traces_record()}
+    doc = {**build(), "solves": traces_record()}
     GOLDEN_TRACES.write_text(json.dumps(doc, indent=1) + "\n")
