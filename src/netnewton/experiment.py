@@ -72,6 +72,13 @@ class ExperimentSpec:
         for name in ("trials", "links", "sources", "seed", "max_first_order_iters"):
             if not _is_number(getattr(self, name), numbers.Integral):
                 raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not (isinstance(self.methods, (tuple, list))
+                and all(isinstance(m, str) for m in self.methods)):
+            raise TypeError(f"methods must be a list of method names, got {self.methods!r}")
+        for name in ("omega_range", "capacity_range"):
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)):
+                raise TypeError(f"{name} must be a list of two numbers, got {value!r}")
         reals = (self.bernoulli_p, self.a, *self.omega_range, *self.capacity_range)
         if len(self.omega_range) != 2 or len(reals) != 6 or not all(_is_number(v) for v in reals):
             raise TypeError("bernoulli_p, a and both ends of each range must be numbers")
@@ -82,6 +89,8 @@ class ExperimentSpec:
             raise TypeError(f"outdir must be a string, got {self.outdir!r}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        _check_draw(self.links, self.sources, self.bernoulli_p, self.seed,
+                    self.omega_range, self.capacity_range)
         unknown = set(self.methods) - {"newton", "diagonal", "subgradient"}
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -114,14 +123,34 @@ class ExperimentSpec:
 
 
 def load_experiment_spec(path) -> ExperimentSpec:
-    doc = json.loads(Path(path).read_text())
     try:
+        doc = json.loads(Path(path).read_text())
+        # JSON's lists become the spec's tuples; the spec names any other value
         for key in ("methods", "omega_range", "capacity_range"):
-            if key in doc:
+            if isinstance(doc, dict) and isinstance(doc.get(key), list):
                 doc[key] = tuple(doc[key])
         return ExperimentSpec(**doc)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed experiment spec {path}: {exc}") from exc
+
+
+def _check_draw(links, sources, bernoulli_p, seed, omega_range, capacity_range) -> None:
+    """Reject, by name, draw arguments that no draw could satisfy or that
+    numpy would reject without naming them."""
+    if links < 1 or sources < 1:
+        raise ValueError("links and sources must be positive")
+    if not 0 < bernoulli_p <= 1:
+        raise ValueError("bernoulli_p must lie in (0, 1]")
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
+    for name, (low, high) in (("omega_range", omega_range), ("capacity_range", capacity_range)):
+        # written so that it also rejects NaN
+        if not -np.inf < low <= high < np.inf:
+            raise ValueError(f"{name} must be finite with low <= high, got {(low, high)!r}")
+    if not omega_range[0] >= 1:
+        raise ValueError("log utility weights must be at least 1")
+    if not capacity_range[0] > 0:
+        raise ValueError("capacities must be strictly positive")
 
 
 def random_network(
@@ -136,18 +165,7 @@ def random_network(
     """Draw a valid instance; the whole routing matrix is redrawn on any
     structural rejection (unused link, unrouted source, split link graph).
     Arguments that no draw could satisfy raise ValueError up front."""
-    if links < 1 or sources < 1:
-        raise ValueError("links and sources must be positive")
-    if not 0 < bernoulli_p <= 1:
-        raise ValueError("bernoulli_p must lie in (0, 1]")
-    for name, (low, high) in (("omega_range", omega_range), ("capacity_range", capacity_range)):
-        # written so that it also rejects NaN
-        if not -np.inf < low <= high < np.inf:
-            raise ValueError(f"{name} must be finite with low <= high, got {(low, high)!r}")
-    if not omega_range[0] >= 1:
-        raise ValueError("log utility weights must be at least 1")
-    if not capacity_range[0] > 0:
-        raise ValueError("capacities must be strictly positive")
+    _check_draw(links, sources, bernoulli_p, seed, omega_range, capacity_range)
     rng = np.random.default_rng(seed)
     for _ in range(max_redraws):
         routing = (rng.random((links, sources)) < bernoulli_p).astype(float)

@@ -26,8 +26,7 @@ def two_flow_network():
     return build_network(TWO_FLOW_ROUTING, [1, 1, 2, 1, 1], [LogUtility(1.0)] * 2)
 
 
-@pytest.fixture
-def mixed_network():
+def mixed_example():
     """Log and quadratic sources interleaved, so neither family's sources
     are contiguous; every capacity sits below each quadratic break point."""
     routing = [[1, 1, 0, 0, 1], [0, 1, 1, 1, 0], [1, 0, 1, 0, 1]]
@@ -36,6 +35,11 @@ def mixed_network():
         QuadraticUtility(2.0, 0.05), LogUtility(1.5),
     ]
     return build_network(routing, [5.0, 10.0, 8.0], utilities)
+
+
+@pytest.fixture
+def mixed_network():
+    return mixed_example()
 
 
 @pytest.fixture

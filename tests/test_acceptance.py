@@ -47,7 +47,8 @@ from netnewton.experiment import ExperimentSpec, run_comparison
 from netnewton.model import save_network
 
 from conftest import example_state, init_state, random_positive_state, three_flow_example
-from test_auxgraph import check_structure, sigma
+from oracles import sigma
+from test_auxgraph import check_structure
 
 
 def report(criterion: int, message: str) -> None:

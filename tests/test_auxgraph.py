@@ -14,35 +14,7 @@ from netnewton import (
 )
 
 from conftest import draw_network, random_positive_state
-
-
-def sigma(network, subset, y_star, z_star):
-    """Brute-force reference: contribution of a source subset to the sum.
-
-    Links touched by the subset count once per subset member crossing them.
-    """
-    total = sum(y_star[i] for i in subset)
-    for l in range(network.num_links):
-        crossing = sum(1 for i in subset if l in network.routes[i])
-        total += z_star[l] * crossing
-    return total
-
-
-def reference_distributed_sum(network, aux, y_star, z_star, rounds):
-    """Oracle for distributed_sum: the round loop as it was before the
-    histories were preallocated, each round's values allocated and the
-    histories stacked from lists."""
-    z_over = aux.owner_incidence.sum(axis=1) - 1
-    y_over = aux.l_star_incidence.sum(axis=0) - 1
-    y = y_star + network.routing.T @ z_star
-    z = np.zeros(network.num_links)
-    y_hist, z_hist = [y], [z]
-    for _ in range(rounds):
-        z = aux.owner_incidence @ y - z_over * z
-        y = aux.l_star_incidence.T @ z - y_over * y
-        y_hist.append(y)
-        z_hist.append(z)
-    return np.array(y_hist), np.array(z_hist)
+from oracles import sigma
 
 
 def check_structure(network, aux):
@@ -192,20 +164,6 @@ class TestDistributedSum:
             scale = max(1.0, abs(expected))
             assert np.abs(short.y_final - expected).max() <= 1e-12 * scale
             assert np.abs(short.z_final - expected).max() <= 1e-12 * scale
-
-    def test_histories_match_the_list_built_loop(self):
-        rng = np.random.default_rng(34)
-        for k in range(30):
-            net = draw_network(rng)
-            aux = build_auxiliary_graph(net)
-            y_star = rng.normal(size=net.num_sources) ** 2
-            z_star = rng.normal(size=net.num_links) ** 2
-            for rounds in {0, aux.diameter + 1, net.num_sources}:
-                run = distributed_sum(net, aux, y_star, z_star, rounds=rounds)
-                y_ref, z_ref = reference_distributed_sum(net, aux, y_star, z_star, rounds)
-                assert run.rounds == rounds
-                assert np.array_equal(run.y_hist, y_ref)
-                assert np.array_equal(run.z_hist, z_ref)
 
     def test_negative_rounds_rejected(self, two_flow_network):
         aux = build_auxiliary_graph(two_flow_network)

@@ -18,7 +18,6 @@ from netnewton import (
 )
 from netnewton.baselines import (
     _BLOCK,
-    FirstOrderResult,
     _cap_assignment_is_noop,
     _price_iteration,
 )
@@ -26,83 +25,7 @@ from netnewton.experiment import FAMILY_FIXTURES
 from netnewton.model import utility_method
 
 from conftest import TWO_FLOW_ROUTING
-
-
-def oracle_best_response(network, prices, cap):
-    """The oracle's own best response, kept apart from baselines'
-    _best_response so that the blocked loop is checked against code it
-    does not share: rates maximizing utility minus route price, clamped to
-    [0, cap], and cap where the route price vanishes."""
-    route_price = network.routing.T @ prices
-    s = utility_method(network, "inverse_d1")(np.maximum(route_price, 1e-12))
-    return np.where(route_price > 1e-12, np.minimum(np.maximum(s, 0.0), cap), cap)
-
-
-def oracle_price_iteration(network, config, h_ref, scaled, trace=None):
-    """Test oracle: the plain per-iteration form of _price_iteration, which
-    runs the objective, slack, divergence test and stopping rule after every
-    price update. The blocked loop must reproduce it exactly. A list given
-    as trace receives, per update, the route prices, the unclamped
-    responses to them and (scaled) the curvatures before the floor."""
-    R = network.routing
-    c = network.capacities
-    cap = config.rate_cap if config.rate_cap is not None else 2.0 * float(c.max())
-    w = np.zeros(network.num_links)
-    h_hist, slack_hist = [], []
-    stable = 0
-    h_prev = None
-    converged = False
-    band = None if h_ref is None else config.band * max(abs(h_ref), 1.0)
-    for k in range(1, config.max_iters + 1):
-        s = oracle_best_response(network, w, cap)
-        overload = R @ s - c
-        curv = None
-        if scaled:
-            curv = R @ (-1.0 / utility_method(network, "d2")(s))
-            step = config.stepsize * overload / np.maximum(curv, config.curvature_floor)
-        else:
-            step = config.stepsize * overload
-        if trace is not None:
-            route_price = R.T @ w
-            with np.errstate(all="ignore"):
-                response = utility_method(network, "inverse_d1")(route_price)
-            trace.append((route_price, response, curv))
-        w = np.maximum(0.0, w + step)
-        if not w.max() <= 1e12:
-            raise RuntimeError(
-                f"price iteration diverged at step {k}; reduce the stepsize"
-            )
-        h = -float(utility_method(network, "value")(np.maximum(s, 1e-300)).sum())
-        min_slack = float(-overload.max())
-        h_hist.append(h)
-        slack_hist.append(min_slack)
-        in_band = True if h_ref is None else abs(h - h_ref) <= band
-        settled = (
-            h_prev is not None
-            and abs(h - h_prev) <= config.rel_change_tol * max(abs(h), 1e-12)
-            and min_slack >= -1e-9
-            and in_band
-        )
-        stable = stable + 1 if settled else 0
-        if stable >= config.stable_window:
-            converged = True
-            break
-        h_prev = h
-    h_arr = np.array(h_hist)
-    iters_to_band = None
-    if h_ref is not None:
-        inside = np.abs(h_arr - h_ref) <= band
-        outside = [k for k, ok in enumerate(inside) if not ok]
-        entry = outside[-1] + 1 if outside else 0  # never leaves the band after
-        iters_to_band = entry + 1 if entry < len(h_arr) else None
-    return FirstOrderResult(
-        rates=oracle_best_response(network, w, cap),
-        prices=w,
-        objective_history=h_arr,
-        min_slack_history=np.array(slack_hist),
-        converged=converged,
-        iters_to_band=iters_to_band,
-    )
+from oracles import oracle_price_iteration
 
 
 def assert_same_run(result, expected):

@@ -20,34 +20,7 @@ from netnewton import (
 from netnewton.direction import _check_saddle, stacked_kkt_direction
 
 from conftest import draw_network, init_state, random_positive_state
-
-
-def kkt_direction_oracle(network, hessian_diag, grad):
-    """Test oracle for kkt_direction: the per-network dense solve it
-    replaced. The prices come from one LU solve of the dual system with its
-    residual check, then delta = -H^-1 (grad + A' w) with the saddle-system
-    residual check."""
-    H = np.asarray(hessian_diag, dtype=float)
-    g = np.asarray(grad, dtype=float)
-    n = network.num_sources + network.num_links
-    if H.shape != (n,) or g.shape != (n,):
-        raise ValueError("hessian_diag and grad must have length S + L")
-    if not np.all((H > 0) & (H < np.inf)):
-        raise ValueError("hessian diagonal must be finite and strictly positive")
-    A = network.incidence
-    AD = A * (1.0 / H)
-    G, rhs = AD @ A.T, -AD @ g
-    w = np.linalg.solve(G, rhs)
-    resid = np.abs(G @ w - rhs).max()
-    if not resid <= 1e-10 * max(np.abs(rhs).max(), 1.0):
-        raise AssertionError(f"dual solve residual {resid:.3e} too large")
-    delta = -(g + A.T @ w) / H
-    top = np.abs(H * delta + A.T @ w + g).max()
-    bottom = np.abs(A @ delta).max()
-    scale = max(np.abs(g).max(), 1.0)
-    if not (top <= 1e-8 * scale and bottom <= 1e-8 * scale):
-        raise AssertionError("saddle residual too large")
-    return delta, w
+from oracles import kkt_direction_oracle
 
 
 def test_kkt_direction_matches_oracle_bit_for_bit():

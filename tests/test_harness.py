@@ -60,7 +60,7 @@ class TestRandomNetwork:
 
     @pytest.mark.parametrize("kwargs", [
         {"links": 0}, {"sources": 0}, {"bernoulli_p": 0.0}, {"bernoulli_p": 1.5},
-        {"omega_range": (0.2, 0.5)}, {"capacity_range": (0.0, 5.0)},
+        {"omega_range": (0.2, 0.5)}, {"capacity_range": (0.0, 5.0)}, {"seed": -1},
     ])
     def test_impossible_arguments_rejected_before_drawing(self, kwargs):
         args = dict(links=4, sources=3, bernoulli_p=0.5, seed=0, max_redraws=1)
@@ -215,6 +215,18 @@ class TestRunComparison:
         with pytest.raises(ValueError, match="unknown"):
             ExperimentSpec(methods=("newton", "genie"))
 
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"methods": "newton"}, TypeError), ({"methods": ("newton", 3)}, TypeError),
+        ({"methods": None}, TypeError), ({"omega_range": 5}, TypeError),
+        ({"capacity_range": None}, TypeError), ({"seed": -1}, ValueError),
+        ({"links": 0}, ValueError), ({"bernoulli_p": 0.0}, ValueError),
+    ])
+    def test_spec_names_a_bad_field_at_construction(self, kwargs, error):
+        # before the study draws, which would fail in numpy or in a set check
+        (name,) = kwargs
+        with pytest.raises(error, match=f"^{name}"):
+            ExperimentSpec(**kwargs)
+
 
 _ONE_LOG_SOURCE = '[{"route": [0], "utility": {"family": "log"}}]'
 
@@ -355,12 +367,25 @@ class TestCli:
         # a repeated method ran its rows twice, and no method wrote an empty study
         {"trials": 1, "methods": ["newton", "newton"]},
         {"trials": 1, "methods": []},
+        # rejected by field name: methods that are not a list of names, a range not a list
+        {"trials": 1, "methods": "newton"},
+        {"trials": 1, "methods": ["newton", 3, "x"]},
+        {"trials": 1, "methods": [["newton"]]},
+        {"trials": 1, "methods": None},
+        {"trials": 1, "omega_range": 5},
     ])
     def test_malformed_spec_rejected(self, tmp_path, capsys, doc):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
         assert main(["compare", str(spec)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_truncated_spec_names_the_file(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"trials": 1, ')
+        assert main(["compare", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"malformed experiment spec {spec}:" in err
 
     @pytest.mark.parametrize("method", ["diagonal", "subgradient"])
     def test_infinite_stepsize_spec_rejected(self, tmp_path, capsys, method):

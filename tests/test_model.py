@@ -33,6 +33,7 @@ from netnewton.model import (
 )
 
 from conftest import TWO_FLOW_ROUTING, draw_network
+from oracles import check_utility_oracle
 
 
 class TestBuildNetwork:
@@ -315,24 +316,6 @@ class TestEvaluation:
         x = rng.uniform(0.5, 3.0, net.num_sources + net.num_links)
         prob = BarrierProblem(net, mu=0.0)
         assert eval_h(net, x) == pytest.approx(eval_f(prob, x), rel=1e-12)
-
-
-def check_utility_oracle(u, s_max, index):
-    """Oracle for build_network's utility checks: the per-utility check it
-    ran for each utility in turn before it checked each family once."""
-    grid = np.logspace(-6, 6, 121)
-    d2 = np.asarray(u.d2(grid), dtype=float)
-    if not np.all(d2 < 0):
-        raise InvalidNetworkError(f"utility {index} is not strictly concave")
-    d3 = np.abs(np.asarray(u.d3(grid), dtype=float))
-    if not np.all(d3 <= 2.0 * (-d2) ** 1.5 * (1.0 + 1e-9)):
-        raise InvalidNetworkError(f"utility {index} fails the self-concordance check")
-    lo = grid[grid <= s_max]
-    probe = np.append(lo, s_max)
-    if not np.all(np.asarray(u.d1(probe), dtype=float) >= -1e-12):
-        raise InvalidNetworkError(
-            f"utility {index} is decreasing below the maximum capacity {s_max}"
-        )
 
 
 def draw_utility(rng, s_max):

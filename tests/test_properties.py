@@ -11,7 +11,8 @@ from netnewton import FirstOrderConfig, LogUtility, QuadraticUtility, build_netw
 from netnewton.baselines import _price_iteration  # noqa: E402
 from netnewton.model import InvalidNetworkError  # noqa: E402
 
-from test_baselines import assert_same_run, oracle_price_iteration  # noqa: E402
+from oracles import oracle_price_iteration  # noqa: E402
+from test_baselines import assert_same_run  # noqa: E402
 
 
 @st.composite

@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import math
 import sys
 
 import numpy as np
@@ -14,7 +13,6 @@ from netnewton import (
     build_dual_graph,
     build_network,
     eval_f,
-    eval_grad,
     eval_h,
     eval_hessian_diag,
     feasible_init,
@@ -28,22 +26,10 @@ from netnewton import (
     stepsize_rule,
     two_pass_solve,
 )
-from netnewton.auxgraph import build_auxiliary_graph, compute_theta
-from netnewton.direction import inexact_decrement, primal_direction
-from netnewton.errorcontrol import DualControlConfig, run_dual_with_error_control
-from netnewton.metrics import MessageMetrics
-from netnewton.model import FEASIBILITY_RTOL, feasibility_residual
-from netnewton.solver import (
-    SolveResult,
-    TraceRecord,
-    _quad_constants,
-    trace_to_json,
-    write_trace_csv,
-)
-from netnewton.splitting import build_splitting, spectral_diagnostics
+from netnewton.solver import _quad_constants, trace_to_json, write_trace_csv
 
 from conftest import draw_network
-from test_direction import kkt_direction_oracle
+from oracles import oracle_csv_row, oracle_json_row, reference_solve_oracle
 
 
 class TestConfig:
@@ -281,115 +267,6 @@ def newton_calls(monkeypatch):
     return calls
 
 
-def newton_solve_oracle(problem, config):
-    """Test oracle for newton_solve: the loop as it was before the per-solve
-    binding. Every step evaluates through the public eval_* functions."""
-    net = problem.network
-    S = net.num_sources
-    aux = build_auxiliary_graph(net)
-    # the running message tally newton_solve kept before it read its
-    # counts from the finished trace
-    metrics = MessageMetrics(aux_construction_rounds=aux.rounds)
-    x = feasible_init(net).values.copy()
-    resid = feasibility_residual(net, x)
-    w_warm = np.ones(net.num_links)
-    damped = True
-    trace = []
-    converged = False
-    for k in range(config.max_primal_iters):
-        consensus_start = metrics.consensus_rounds
-        g = eval_grad(problem, x)
-        H = eval_hessian_diag(problem, x)
-        split = build_splitting(net, H, g)
-        spectra = spectral_diagnostics(split, max_cut_limit=0) if config.record_spectra else None
-        lam1 = spectral_radius(split) if spectra is None else spectra.lambda1
-        dual_cfg = DualControlConfig.from_lambda1(lam1, config.p, config.epsilon, config.T)
-        w, cert = run_dual_with_error_control(net, H, split, dual_cfg, w_warm)
-        metrics.init_pushes += 2 * S
-        metrics.init_feedbacks += S
-        metrics.dual_rounds += cert.dual_iters
-        metrics.dual_feedbacks += S * cert.dual_iters
-        metrics.dual_pushes += S * cert.dual_iters
-        metrics.consensus_execs += cert.consensus_passes
-        metrics.consensus_rounds += cert.consensus_passes * net.comm_diameter
-        delta = primal_direction(net, H, g, w)
-        theta, sum_rounds = compute_theta(net, aux, delta, H)
-        metrics.summation_rounds += sum_rounds
-        if config.tau_noise:
-            theta = max(0.0, theta + config.tau_noise * math.cos(float(k)))
-        d, damped_next = stepsize_rule(theta, damped, config.V, config.b)
-        d, damped_next = float(d), bool(damped_next)
-        phase = "damped" if (damped and damped_next) else "quadratic"
-        trace.append(TraceRecord(
-            k=k, f=eval_f(problem, x), h=eval_h(net, x),
-            lambda_tilde=float(inexact_decrement(delta, H)), theta=theta, stepsize=d, phase=phase,
-            consensus_rounds=metrics.consensus_rounds - consensus_start,
-            summation_rounds=sum_rounds, min_slack=float(x[S:].min()), feas_residual=resid,
-            certificate=cert, x=x.copy() if config.store_iterates else None,
-            dual_graph=None if spectra is None else spectra.to_dict(),
-        ))
-        damped = damped_next
-        if not damped and theta <= config.theta_term:
-            converged = True
-            break
-        x = x + d * delta
-        if not np.all(x > 0):
-            raise AssertionError("iterate lost strict positivity; stepsize window violated")
-        resid = feasibility_residual(net, x)
-        if resid > FEASIBILITY_RTOL:
-            raise AssertionError(f"flow conservation drifted: residual {resid:.3e}")
-        if config.dual_warm_start:
-            w_warm = w
-    return SolveResult(x=x, trace=trace, converged=converged, metrics=metrics,
-                       f_final=eval_f(problem, x), h_final=eval_h(net, x))
-
-
-def bits(value):
-    """A value's exact bits: an array's dtype, shape and bytes, else its
-    repr (exact for floats, and for the certificate's and spectra's)."""
-    if isinstance(value, np.ndarray):
-        return value.dtype.str, value.shape, value.tobytes()
-    return repr(value)
-
-
-def assert_matches_newton_oracle(problem, config):
-    res = newton_solve(problem, config)
-    ref = newton_solve_oracle(problem, config)
-    assert bits(res.x) == bits(ref.x)
-    assert res.metrics == ref.metrics
-    assert (res.converged, bits(res.f_final), bits(res.h_final)) == (
-        ref.converged, bits(ref.f_final), bits(ref.h_final))
-    assert len(res.trace) == len(ref.trace)
-    for rec, rec_ref in zip(res.trace, ref.trace):
-        for field in dataclasses.fields(TraceRecord):
-            assert bits(getattr(rec, field.name)) == bits(getattr(rec_ref, field.name)), (
-                rec.k, field.name)
-    return res
-
-
-class TestNewtonOracle:
-    def test_study_networks_match_bit_for_bit(self):
-        config = SolverConfig(store_iterates=False)
-        for trial in range(50):
-            assert_matches_newton_oracle(BarrierProblem(study_network(trial)), config)
-
-    @pytest.mark.parametrize("config", [
-        SolverConfig(mu=2.0),
-        SolverConfig(store_iterates=True, record_spectra=True, tau_noise=0.01),
-        SolverConfig(dual_warm_start=False),
-        SolverConfig(T=5),
-    ], ids=["mu2", "iterates-spectra-noise", "cold-prices", "given-T"])
-    def test_configs_match_bit_for_bit(self, config, mixed_network):
-        for net in (mixed_network, study_network(0), study_network(1)):
-            assert_matches_newton_oracle(BarrierProblem(net, config.mu), config)
-
-    def test_rescaled_utility_matches_bit_for_bit(self):
-        # a two-pass solve's pass 2 runs on a rescaled utility
-        for scale in (3.0, 1e3):
-            assert_matches_newton_oracle(BarrierProblem(study_network(2), 1.0, scale),
-                                         SolverConfig())
-
-
 class TestTwoPass:
     def test_identical_pass_2_is_reused(self, newton_calls):
         net = study_network(0)
@@ -482,55 +359,7 @@ class TestTwoPass:
         np.testing.assert_allclose(tp_shift.x, tp_plain.x, rtol=1e-9)
 
 
-def reference_solve_oracle(problem, x0=None, tol=1e-12):
-    """Test oracle for reference_solve: the per-network loop it replaced,
-    one kkt_direction_oracle step at a time. Returns (x, trace, converged)
-    with reference_solve's (k, decrement, stepsize) trace rows."""
-    V = SolverConfig.V
-    b = SolverConfig().b
-    x = feasible_init(problem.network).values.copy() if x0 is None else np.array(x0, dtype=float)
-    damped = True
-    trace = []
-    for k in range(500):
-        g = eval_grad(problem, x)
-        H = eval_hessian_diag(problem, x)
-        delta, _ = kkt_direction_oracle(problem.network, H, g)
-        lam = float(np.sqrt(np.sum(delta * delta * H)))
-        d, damped = stepsize_rule(lam, damped, V, b)
-        trace.append((k, lam, d))
-        if lam <= tol:
-            return x, trace, True
-        x = x + d * delta
-        if not np.all(x > 0):
-            raise AssertionError("reference iterate lost strict positivity")
-    return x, trace, False
-
-
-def central_path_oracle(net):
-    """Test oracle for reference_optima: the per-network central path it
-    replaced, reference_solve_oracle chained over the utility scales 1, 10,
-    ..., 1e8 from the feasible start, each stage to decrement 1e-10."""
-    x = feasible_init(net).values.copy()
-    scale = 1.0
-    while True:
-        x = reference_solve_oracle(BarrierProblem(net, 1.0, scale), x0=x, tol=1e-10)[0]
-        if scale >= 1e8:
-            return x, eval_h(net, x)
-        scale = min(scale * 10.0, 1e8)
-
-
 class TestReference:
-    def test_stack_matches_central_path_oracle(self, mixed_network, two_flow_network):
-        nets = [study_network(t) for t in range(10)] + [mixed_network, two_flow_network]
-        for (x, h), net in zip(reference_optima(nets), nets):
-            x_or, h_or = central_path_oracle(net)
-            # relative to |h| floored at one utility unit, as the study's
-            # band is: two_flow_network's optimum sits at h = 0
-            assert h == pytest.approx(h_or, rel=1e-14, abs=1e-14)
-            # relative to the largest entry: a slack near zero is a difference
-            # of rates and capacities, so it carries their rounding error
-            assert np.abs(x - x_or).max() <= 1e-10 * np.abs(x_or).max()
-
     def test_stacks_return_in_input_order(self, mixed_network, two_flow_network):
         # the family networks share one stack, the fixtures run alone
         nets = [study_network(0), study_network(1), mixed_network, two_flow_network,
@@ -699,33 +528,6 @@ class TestTraceOutput:
         assert doc["trace"][0]["certificate"]["stage"] in (1, 2)
         assert "lambda1" in doc["trace"][0]["dual_graph"]
 
-    @staticmethod
-    def oracle_csv_row(rec) -> list:
-        """Test oracle: the CSV row as the writer spelled it out by hand
-        before TRACE_COLUMNS became the one schema, as the strings csv
-        reads back."""
-        return [
-            str(rec.k), repr(rec.f), repr(rec.h), repr(rec.lambda_tilde),
-            repr(rec.theta), repr(rec.stepsize), rec.phase, str(rec.dual_iters),
-            str(rec.consensus_rounds), repr(rec.min_slack), repr(rec.feas_residual),
-        ]
-
-    @staticmethod
-    def oracle_json_row(rec) -> dict:
-        """Test oracle: the JSON trace row as trace_to_json spelled it out
-        by hand before TRACE_COLUMNS became the one schema."""
-        row = {
-            "k": rec.k, "f": rec.f, "h": rec.h, "lambda_tilde": rec.lambda_tilde,
-            "theta": rec.theta, "stepsize": rec.stepsize, "phase": rec.phase,
-            "dual_iters": rec.dual_iters, "consensus_rounds": rec.consensus_rounds,
-            "summation_rounds": rec.summation_rounds, "min_slack": rec.min_slack,
-            "feas_residual": rec.feas_residual,
-        }
-        if rec.certificate is not None:
-            row["certificate"] = rec.certificate.to_dict()
-        if rec.dual_graph is not None:
-            row["dual_graph"] = rec.dual_graph
-        return row
 
     @pytest.mark.parametrize("spectra", [False, True])
     def test_writers_match_hand_written_rows(self, tmp_path, two_flow_network, spectra):
@@ -735,9 +537,9 @@ class TestTraceOutput:
         write_trace_csv(res.trace, path)
         with open(path, newline="") as fh:
             body = list(csv.reader(fh))[1:]
-        assert body == [self.oracle_csv_row(rec) for rec in res.trace]
+        assert body == [oracle_csv_row(rec) for rec in res.trace]
         rows = trace_to_json(res, cfg)["trace"]
-        assert rows == [self.oracle_json_row(rec) for rec in res.trace]
+        assert rows == [oracle_json_row(rec) for rec in res.trace]
         extra = {"certificate", "dual_graph"} if spectra else {"certificate"}
         for row in rows:
             assert len(set(row) - extra) == 12 and extra <= set(row)

@@ -77,6 +77,34 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_oracles_live_in_one_module():
+    # every oracle is in tests/oracles.py, says what it checks, and is used:
+    # no other test module defines a helper named *_oracle, oracle_* or
+    # reference_* (a test_* function may name the oracle it compares with)
+    tests = Path(__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(tests.glob("*.py"))}
+    stray = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items() if name != "oracles.py"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("test_")
+        and (node.name.endswith("_oracle") or node.name.startswith(("oracle_", "reference_")))
+    ]
+    assert stray == []
+    oracles = [node for node in trees["oracles.py"].body if isinstance(node, ast.FunctionDef)]
+    assert oracles
+    assert [node.name for node in oracles if not ast.get_docstring(node)] == []
+    imported = {
+        alias.name
+        for name, tree in trees.items() if name.startswith("test_")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+        for alias in node.names
+    }
+    assert sorted({node.name for node in oracles} - imported) == []
+
+
 def test_one_function_calls_the_dense_solve():
     # the exact direction exists once, as a stack: every per-network dense
     # solve is its batch of one, so np.linalg.solve has a single caller

@@ -1,12 +1,14 @@
 """Every Newton step pinned: the trace of each newton_solve in
 tests/data/traces_seed7.json, field by field.
 
-The golden study file pins each study row's totals, and the Newton oracle
-calls the same layer functions as newton_solve, so a change that moves
-one step without moving a total passes both. This file holds, for seed-7
-study trials 0-5 under three configs and for the benchmark's scale-ladder
-solves, every trace column, each step's certificate and the run's message
-totals. Rewrite it, a change of test data, with
+The golden study file pins each study row's totals, so a change that moves
+one step without moving a total passes it. This file holds, for seed-7
+study trials 0-5 under four configs, trial 2 at two utility scales (a
+two-pass solve's pass 2 runs on a rescaled utility), the mixed-utility
+network under four configs and the benchmark's scale-ladder solves, every
+trace column, each step's certificate and dual-graph report, the stored
+iterates of one solve, the run's message totals and its final point and
+objectives. Rewrite it, a change of test data, with
 
     PYTHONPATH=src python tests/test_traces.py
 """
@@ -19,18 +21,31 @@ import numpy as np
 from netnewton import BarrierProblem, SolverConfig, newton_solve, random_network
 from netnewton.solver import TRACE_COLUMNS
 
+from conftest import mixed_example
 from test_acceptance import GOLDEN_RTOL, STUDY_SPEC
 from test_pinned_outputs import load_bench
 
 GOLDEN_TRACES = Path(__file__).resolve().parent / "data" / "traces_seed7.json"
 STUDY_TRIALS = 6
-# The default; a barrier weight of 2 with spectra and a perturbed stepsize
-# scalar; cold prices with a one-sweep stage 1, which reaches stage 2.
+# One solve stores its iterates, and so pins them; the rest store none,
+# which keeps the file small. On the study trials: the default; a barrier
+# weight of 2 with spectra and a perturbed stepsize scalar; cold prices
+# with a one-sweep stage 1, which reaches stage 2; a given stage-1 budget.
 CONFIGS = {
-    "default": SolverConfig(),
-    "mu2_spectra_noise": SolverConfig(mu=2.0, record_spectra=True, tau_noise=0.01),
-    "cold_T1": SolverConfig(T=1, dual_warm_start=False),
+    "default": SolverConfig(store_iterates=False),
+    "mu2_spectra_noise": SolverConfig(mu=2.0, record_spectra=True, tau_noise=0.01,
+                                      store_iterates=False),
+    "cold_T1": SolverConfig(T=1, dual_warm_start=False, store_iterates=False),
+    "T5": SolverConfig(T=5, store_iterates=False),
 }
+# On the mixed-utility network, each change of config alone.
+MIXED_CONFIGS = {
+    "mu2": SolverConfig(mu=2.0, store_iterates=False),
+    "iterates_spectra_noise": SolverConfig(record_spectra=True, tau_noise=0.01),
+    "cold": SolverConfig(dual_warm_start=False, store_iterates=False),
+    "T5": SolverConfig(T=5, store_iterates=False),
+}
+SCALED_TRIAL, SCALES = 2, (3.0, 1e3)
 # On the numpy version, BLAS and SIMD extensions the file was recorded
 # with, every float is compared exactly, so a change of rounding anywhere in a step (a 1-ulp
 # change of F's headroom, say) fails. On another build, which may round
@@ -63,27 +78,39 @@ def ladder_networks():
     ]
 
 
-def solve_record(net, config: SolverConfig) -> dict:
-    """One solve's steps and message totals, as JSON values. newton_solve
-    takes its barrier weight from the problem, so mu comes from config."""
-    res = newton_solve(BarrierProblem(net, config.mu), config)
+def solve_record(net, config: SolverConfig, scale: float = 1.0) -> dict:
+    """One solve's steps, message totals and final point, as JSON values.
+    newton_solve takes its barrier weight from the problem, so mu comes
+    from config."""
+    res = newton_solve(BarrierProblem(net, config.mu, scale), config)
     steps = []
     for rec in res.trace:
         step = {c: getattr(rec, c) for c in TRACE_COLUMNS + ["summation_rounds"]}
         step["certificate"] = rec.certificate.to_dict()
+        if rec.dual_graph is not None:
+            step["dual_graph"] = rec.dual_graph
+        if rec.x is not None:
+            step["x"] = rec.x.tolist()
         steps.append(step)
-    return {"converged": res.converged, "steps": steps, "metrics": res.metrics.totals()}
+    return {"converged": res.converged, "steps": steps, "metrics": res.metrics.totals(),
+            "x": res.x.tolist(), "f_final": res.f_final, "h_final": res.h_final}
 
 
 def traces_record() -> dict:
     """Every pinned solve, keyed by instance and config."""
     solves = {}
-    for trial, net in enumerate(study_networks()):
+    nets = study_networks()
+    for trial, net in enumerate(nets):
         for name, config in CONFIGS.items():
             solves[f"trial{trial}/{name}"] = solve_record(net, config)
+    for scale in SCALES:
+        solves[f"trial{SCALED_TRIAL}/scale{scale:g}"] = solve_record(
+            nets[SCALED_TRIAL], CONFIGS["default"], scale)
+    for name, config in MIXED_CONFIGS.items():
+        solves[f"mixed/{name}"] = solve_record(mixed_example(), config)
     for net in ladder_networks():
         solves[f"ladder{net.num_links}x{net.num_sources}/default"] = solve_record(
-            net, SolverConfig())
+            net, CONFIGS["default"])
     return json.loads(json.dumps(solves))
 
 
