@@ -128,16 +128,6 @@ def band_entry(history, h_ref: float, band: float) -> int | None:
     return _band_entry_of(_in_band(np.asarray(history, dtype=float), h_ref, band))
 
 
-def _cap_assignment_is_noop(inverse_d1, num_sources: int, cap: float) -> bool:
-    """True when every source's clamped response at the route price 1e-12
-    is already cap. inverse_d1 is elementwise and nonincreasing, also
-    after rounding, so at every route price in [0, 1e-12] the clamped
-    response is cap too, and assigning cap changes no rate."""
-    with np.errstate(all="ignore"):
-        at_floor = inverse_d1(np.full(num_sources, 1e-12))
-    return bool((np.minimum(np.maximum(at_floor, 0.0), cap) == cap).all())
-
-
 def _best_response(network: Network, cap: float):
     """The best response to route prices, as three functions bound once
     per solve:
@@ -148,13 +138,10 @@ def _best_response(network: Network, cap: float):
     - clamp(route_price, response, out) writes the responses clamped to
       [0, cap], and cap where the route price is at most 1e-12, as
       np.where(route_price > 1e-12, clamp, cap) would give for every
-      finite route price: by the cap assignment, or where
-      _cap_assignment_is_noop skips it, by itself, so no price needs a
-      floor;
+      finite route price, so no price needs a floor;
     - idle(route_prices, responses) is True when clamp would return every
       response, of any number of rows, unchanged: each lies in [0, cap]
-      and, where the cap assignment is live, each route price is above
-      1e-12. A NaN is never idle.
+      and each route price is above 1e-12. A NaN is never idle.
 
     The best response is clamp(route_price, respond(route_price, ...), out)."""
     S = network.num_sources
@@ -162,19 +149,17 @@ def _best_response(network: Network, cap: float):
     maximum, minimum, less_equal = np.maximum, np.minimum, np.less_equal
     zero, tiny, cap_0d = np.array(0.0), np.array(1e-12), np.array(cap)
     vanishing = np.empty(S, dtype=bool)
-    assign_cap = not _cap_assignment_is_noop(respond, S, cap)
 
     def clamp(route_price, response, out):
         maximum(response, zero, out=out)
         minimum(out, cap_0d, out=out)
-        if assign_cap:
-            less_equal(route_price, tiny, vanishing)
-            out[vanishing] = cap
+        less_equal(route_price, tiny, vanishing)
+        out[vanishing] = cap
         return out
 
     def idle(route_prices, responses) -> bool:
         return bool(responses.min() >= 0.0 and responses.max() <= cap
-                    and (not assign_cap or route_prices.min() > 1e-12))
+                    and route_prices.min() > 1e-12)
 
     return respond, clamp, idle
 

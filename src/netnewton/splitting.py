@@ -229,10 +229,16 @@ def build_dual_graph(network: Network, hessian_diag) -> SplittingData:
 
 
 def spectral_radius(split: SplittingData) -> float:
-    """Largest-magnitude eigenvalue of the iteration matrix.
+    """Largest-magnitude eigenvalue of the iteration matrix, which is its
+    top eigenvalue.
 
-    Computed on the symmetrized similar matrix for numerical stability;
-    asserts the contraction property (< 1) that the splitting guarantees.
+    M = D^-1 (diag(Bbar) - B), with D = denom, is similar to
+    D^-1/2 (diag(Bbar) - B) D^-1/2. diag(Bbar) - B is the weighted
+    Laplacian of the link coupling graph (B is symmetric and nonnegative,
+    Bbar its row sums), so it is positive semidefinite and M has no
+    negative eigenvalue. Computed on the symmetrized similar matrix for
+    numerical stability; asserts the contraction property (< 1) that the
+    splitting guarantees.
     """
     scale = np.sqrt(split.denom)
     sym = split.iteration_matrix * scale[:, None]
@@ -241,9 +247,7 @@ def spectral_radius(split: SplittingData) -> float:
     both *= 0.5
     if not np.logical_and.reduce(np.isfinite(both), axis=None):
         raise ValueError("iteration matrix has non-finite entries")
-    # ascending, so the extremes hold the largest magnitude
-    eigs = np.linalg.eigvalsh(both)
-    lam1 = max(abs(float(eigs[0])), abs(float(eigs[-1])))
+    lam1 = float(np.linalg.eigvalsh(both)[-1])  # ascending
     if not lam1 < 1.0 + 1e-12:
         raise AssertionError(f"price iteration is not a contraction: {lam1}")
     return lam1

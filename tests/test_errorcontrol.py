@@ -25,7 +25,12 @@ from netnewton.errorcontrol import _largest
 from netnewton.metrics import consensus_rounds
 
 from conftest import draw_network, init_state
-from oracles import reference_run_dual, stage1_beta_oracle, with_link_sums
+
+
+def with_link_sums(network, v):
+    """A route aggregate laid out as the stage tests take it: the S
+    per-source values, then their L link sums."""
+    return np.concatenate([v, network.routing @ v])
 
 
 def control_setup(net, H):
@@ -40,16 +45,6 @@ def assumption_error(net, H, g, w):
     inexact = primal_direction(net, H, g, w)
     gamma = exact - inexact
     return float(np.sum(gamma * gamma * H)), inexact
-
-
-def assert_matches_reference(net, H, split, cfg, warm_start_w=None):
-    """run_dual_with_error_control returns the oracle's prices and
-    certificate bit for bit; returns them."""
-    w, cert = run_dual_with_error_control(net, H, split, cfg, warm_start_w)
-    w_ref, cert_ref = reference_run_dual(net, H, split, cfg, warm_start_w)
-    assert np.array_equal(w, w_ref), (w, w_ref)
-    assert cert == cert_ref, (cert, cert_ref)
-    return w, cert
 
 
 def tightened_threshold_draws(net, count):
@@ -71,38 +66,6 @@ def gradient_solved_at(net, H, w_star):
 
 
 class TestStageFormulas:
-    def test_stage_tests_match_their_oracles_bit_for_bit(self):
-        rng = np.random.default_rng(21)
-        vanished = nan = 0
-        for k in range(300):
-            net = draw_network(rng)
-            S, L = net.num_sources, net.num_links
-            H = 10.0 ** rng.uniform(-8, 8, S + L)
-            pi0 = net.routing.T @ np.ones(L)
-            big_pi0 = pi0 / H[:S]
-            w_t = rng.normal(size=L) * 10.0 ** rng.uniform(-6, 6)
-            if k % 4 == 0:
-                # cancel source 0's route price, so its aggregate vanishes
-                route = net.routes[0]
-                w_t[route[-1]] = -(w_t[list(route[:-1])].sum())
-            w_t1 = w_t + rng.normal(size=L) * 10.0 ** rng.uniform(-12, 0) * (k % 7 != 0)
-            if k % 9 == 1:
-                # non-finite prices: a NaN, an inf, or infs of both signs
-                w_t[rng.integers(L, size=1 + k % 2)] = [np.nan, np.inf, -np.inf][k % 3:][:1 + k % 2]
-            with np.errstate(invalid="ignore"):
-                big_pi_t = (net.routing.T @ w_t) / H[:S]
-            vanished += bool(np.abs(big_pi_t).min() < 1e-14)
-            F, p = rng.uniform(0.01, 0.99), 10.0 ** rng.uniform(-4, -1)
-            with np.errstate(invalid="ignore", over="ignore"):
-                expected = stage1_beta_oracle(net, w_t, w_t1, big_pi0, big_pi_t, F, p)
-                # as run_dual_with_error_control passes them: each aggregate
-                # followed by its link sums
-                num, agg = (with_link_sums(net, v) for v in (big_pi0, big_pi_t))
-                beta = stage1_beta(net, w_t, w_t1, num, agg, F, p)
-            assert repr(beta) == repr(expected)
-            nan += math.isnan(beta)
-        assert vanished >= 50 and nan >= 20
-
     def test_largest_entry_is_the_maximum_reduction(self):
         # the stage tests take their maxima through _largest: the value of
         # np.maximum.reduce, infinities and NaNs too, and bit for bit unless
@@ -117,9 +80,10 @@ class TestStageFormulas:
             assert repr(got) == repr(expected) or got == expected == 0.0
             assert repr(_largest(np.abs(v))) == repr(np.maximum.reduce(np.abs(v)))
 
-    def test_caps_inside_stage_2_match_the_allocating_loop(self, two_flow_network):
-        # stops on the last sweep a cap allows, and caps reached before it,
-        # on draws whose stage 2 runs many sweeps
+    def test_caps_inside_stage_2_return_or_raise(self, two_flow_network):
+        # a cap of the sweeps the solve needs, or more, returns its prices
+        # and certificate; one less, or a cap reached earlier, raises; on
+        # draws whose stage 2 runs many sweeps
         rng = np.random.default_rng(23)
         draws = [(two_flow_network, H, g)
                  for H, g in tightened_threshold_draws(two_flow_network, 3)]
@@ -132,19 +96,20 @@ class TestStageFormulas:
             cfg = DualControlConfig.from_lambda1(
                 spectral_radius(split), p=1e-3, epsilon=1e-9, T=1
             )
-            _, cert = run_dual_with_error_control(net, H, split, cfg)
+            w, cert = run_dual_with_error_control(net, H, split, cfg)
             long_stage_2 += cert.dual_iters > cfg.T + 8
             for cap in (cert.dual_iters, cert.dual_iters + 1):
                 capped = DualControlConfig(T=cfg.T, p=cfg.p, epsilon=cfg.epsilon, F=cfg.F,
                                            iter_cap=cap)
-                assert assert_matches_reference(net, H, split, capped)[1] == cert
-            for cap in range(cfg.T + 1, cert.dual_iters, max(1, cert.dual_iters // 7)):
+                w_capped, cert_capped = run_dual_with_error_control(net, H, split, capped)
+                assert np.array_equal(w_capped, w) and cert_capped == cert
+            short = [*range(cfg.T + 1, cert.dual_iters - 1, max(1, cert.dual_iters // 7)),
+                     cert.dual_iters - 1]
+            for cap in short:
                 capped = DualControlConfig(T=cfg.T, p=cfg.p, epsilon=cfg.epsilon, F=cfg.F,
                                            iter_cap=cap)
                 with pytest.raises(RuntimeError, match="cap"):
                     run_dual_with_error_control(net, H, split, capped)
-                with pytest.raises(RuntimeError, match="cap"):
-                    reference_run_dual(net, H, split, capped)
         assert long_stage_2 >= 4
 
 
@@ -158,6 +123,18 @@ class TestStage1:
         beta = stage1_beta(net, w_star, w_star, pi0, pit, F=0.5, p=1e-3)
         assert beta == np.inf
 
+    def test_unmoved_prices_give_infinite_beta_beside_a_vanished_aggregate(
+            self, two_flow_network):
+        # source 0's route price w0 + w2 + w3 vanishes, which makes its
+        # ratio infinite and beta 0 once a price moves; unmoved prices
+        # take no ratio and certify any error
+        net = two_flow_network
+        w = np.array([1.0, 2.0, -2.0, 1.0, 0.5])
+        pi0, pit = (with_link_sums(net, net.routing.T @ v) for v in (np.ones(5), w))
+        assert pit[0] == 0.0
+        assert stage1_beta(net, w, w + 1e-3, pi0, pit, F=0.5, p=1e-3) == 0.0
+        assert stage1_beta(net, w, w.copy(), pi0, pit, F=0.5, p=1e-3) == math.inf
+
     def test_a_nan_link_ratio_leaves_the_source_maximum(self, two_flow_network):
         # route aggregates of opposite infinite signs give the shared link a
         # NaN ratio and both sources a zero one; the source maximum stands
@@ -168,8 +145,7 @@ class TestStage1:
         with np.errstate(invalid="ignore"):
             summed = [with_link_sums(net, v) for v in (pi0, pit)]
             assert np.isnan(summed[1][net.num_sources:]).any()
-            beta = stage1_beta(net, w_t, w_t1, *summed, F=0.5, p=1e-3)
-            assert beta == stage1_beta_oracle(net, w_t, w_t1, pi0, pit, 0.5, 1e-3) == math.inf
+            assert stage1_beta(net, w_t, w_t1, *summed, F=0.5, p=1e-3) == math.inf
 
     def test_minimal_instance_closed_form(self, tiny_network):
         H = np.array([2.0, 0.5])
@@ -474,21 +450,21 @@ class TestRunWithErrorControl:
         assert metrics.consensus_rounds == metrics.consensus_execs * two_flow_network.comm_diameter
         assert (metrics.summation_rounds, metrics.aux_construction_rounds) == (3, 1)
 
-    def test_buffered_sweeps_match_the_allocating_loop(self):
+    def test_warm_start_is_copied(self):
+        # the sweeps write into two buffers in turn, neither the warm start
         rng = np.random.default_rng(100)
-        for k in range(36):
+        for k in range(12):
             net = draw_network(rng)
             _, H, g = init_state(net)
             cfg = DualControlConfig(
                 T=1 + k % 12, p=1e-3, epsilon=1e-4, F=control_setup(net, H)
             )
             split = build_splitting(net, H, g)
-            warm = None if k % 3 == 0 else rng.uniform(-1.0, 2.0, net.num_links)
-            kept = None if warm is None else warm.copy()
-            w, _ = assert_matches_reference(net, H, split, cfg, warm)
-            if warm is not None:
-                assert np.array_equal(warm, kept)  # the warm start is copied
-                assert not np.shares_memory(w, warm)
+            warm = rng.uniform(-1.0, 2.0, net.num_links)
+            kept = warm.copy()
+            w, _ = run_dual_with_error_control(net, H, split, cfg, warm)
+            assert np.array_equal(warm, kept)
+            assert not np.shares_memory(w, warm)
 
     def test_buffered_sweep_matches_the_allocating_sweep(self):
         rng = np.random.default_rng(102)
@@ -500,48 +476,6 @@ class TestRunWithErrorControl:
             out = np.empty_like(w)
             assert dual_step_matrix(split, w, out) is out
             assert np.array_equal(out, dual_step_matrix(split, w))
-
-    def test_tightened_thresholds_match_the_allocating_loop(self, two_flow_network):
-        net = two_flow_network
-        for H, g in tightened_threshold_draws(net, 20):
-            split = build_splitting(net, H, g)
-            cfg = DualControlConfig.from_lambda1(
-                spectral_radius(split), p=1e-3, epsilon=1e-4, T=1
-            )
-            assert_matches_reference(net, H, split, cfg)
-
-    def test_vanished_route_price_matches_the_allocating_loop(self, two_flow_network):
-        net = two_flow_network
-        rng = np.random.default_rng(3)
-        for _ in range(2):
-            H = rng.uniform(0.5, 2.0, 7)
-            w_star = rng.uniform(-1.0, 1.0, 5)
-            w_star[3] = -(w_star[0] + w_star[2])
-            g = gradient_solved_at(net, H, w_star)
-            split = build_splitting(net, H, g)
-            cfg = DualControlConfig.from_lambda1(
-                spectral_radius(split), p=1e-3, epsilon=1e-4, T=1
-            )
-            assert_matches_reference(net, H, split, cfg)
-
-    def test_cap_boundary_matches_the_allocating_loop(self, two_flow_network):
-        # a cap equal to the sweeps the solve needs returns; one less raises
-        net = two_flow_network
-        H, g = next(tightened_threshold_draws(net, 1))
-        split = build_splitting(net, H, g)
-        cfg = DualControlConfig.from_lambda1(spectral_radius(split), p=1e-3, epsilon=1e-4, T=1)
-        _, cert = run_dual_with_error_control(net, H, split, cfg)
-        assert cert.stage == 2 and cert.dual_iters > cfg.T
-        exact = DualControlConfig(T=cfg.T, p=cfg.p, epsilon=cfg.epsilon, F=cfg.F,
-                                  iter_cap=cert.dual_iters)
-        _, capped = assert_matches_reference(net, H, split, exact)
-        assert capped == cert
-        short = DualControlConfig(T=cfg.T, p=cfg.p, epsilon=cfg.epsilon, F=cfg.F,
-                                  iter_cap=cert.dual_iters - 1)
-        with pytest.raises(RuntimeError, match="cap"):
-            run_dual_with_error_control(net, H, split, short)
-        with pytest.raises(RuntimeError, match="cap"):
-            reference_run_dual(net, H, split, short)
 
     def test_contraction_factor_from_lambda1(self):
         cfg = DualControlConfig.from_lambda1(0.5, p=1e-3, epsilon=1e-4)

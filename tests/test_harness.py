@@ -19,7 +19,6 @@ from netnewton import (
     random_network,
     run_comparison,
     save_network,
-    two_pass_solve,
 )
 from netnewton.cli import build_parser, main
 from netnewton.experiment import ExperimentSpec, load_experiment_spec
@@ -102,23 +101,6 @@ class TestMetrics:
         assert all(rec.consensus_rounds > 0 for rec in res.trace)
         total = sum(rec.consensus_rounds for rec in res.trace)
         assert total == res.metrics.consensus_rounds
-
-    def test_study_trial_0_counts_pinned(self):
-        # seed-7 study trial 0; pass 2 repeats pass 1 and is not run
-        seed = np.random.SeedSequence(7).spawn(1)[0]
-        net = random_network(15, 8, 0.5, seed)
-        tp = two_pass_solve(net, SolverConfig(store_iterates=False))
-        assert tp.pass2_reused
-        assert tp.pass1.metrics.totals() == {
-            "dual_rounds": 637, "init_pushes": 368, "init_feedbacks": 184,
-            "dual_pushes": 5096, "dual_feedbacks": 5096, "consensus_execs": 335,
-            "consensus_rounds": 1675, "summation_rounds": 115,
-            "aux_construction_rounds": 7,
-        }
-        assert [rec.consensus_rounds for rec in tp.traces] == [
-            30, 25, 25, 30, 30, 30, 35, 40, 45, 50, 65, 90, 130, 170, 210, 225,
-            220, 175, 10, 10, 10, 10, 10,
-        ]
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +187,15 @@ class TestRunComparison:
         assert None not in (row.h_final, row.final_feasible, row.min_slack_overall)
         assert summary.failures("newton") == 1 and summary.mean_iters("newton") is None
 
+    def test_failing_row_records_its_error(self):
+        # a stepsize that diverges at once fails the row, not the study
+        spec = ExperimentSpec(trials=1, links=6, sources=4, seed=11, methods=("diagonal",),
+                              diagonal_stepsize=1e20)
+        (row,) = run_comparison(spec).rows
+        assert row.error == ("RuntimeError: price iteration diverged at step 1; "
+                             "reduce the stepsize")
+        assert row.h_final is None and row.counted_iters is None
+
     def test_spec_round_trip(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"trials": 2, "links": 5, "sources": 3, "seed": 1}))
@@ -220,6 +211,7 @@ class TestRunComparison:
         ({"methods": None}, TypeError), ({"omega_range": 5}, TypeError),
         ({"capacity_range": None}, TypeError), ({"seed": -1}, ValueError),
         ({"links": 0}, ValueError), ({"bernoulli_p": 0.0}, ValueError),
+        ({"trials": 0}, ValueError), ({"outdir": 3}, TypeError),
     ])
     def test_spec_names_a_bad_field_at_construction(self, kwargs, error):
         # before the study draws, which would fail in numpy or in a set check
@@ -306,6 +298,7 @@ class TestCli:
         ([0.5], {"family": "log", "weight": 1.0}),
         ([None], {"family": "log", "weight": 1.0}),
         ([0], {"family": "log", "weight": "x"}),
+        ([0], {"family": "exp", "weight": 1.0}),
     ])
     def test_malformed_network_fields_rejected(self, tmp_path, capsys, route, utility):
         bad = tmp_path / "bad.json"

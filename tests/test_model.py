@@ -33,7 +33,6 @@ from netnewton.model import (
 )
 
 from conftest import TWO_FLOW_ROUTING, draw_network
-from oracles import check_utility_oracle
 
 
 class TestBuildNetwork:
@@ -84,6 +83,40 @@ class TestBuildNetwork:
         with pytest.raises(InvalidNetworkError,
                            match=r"^utility 1 has a non-finite parameter: .*Utility\("):
             build_network([[1, 1]], [1.0], [LogUtility(2.0), utility])
+
+    # the first failing utility, and its first failing check, name the
+    # error; each case sits at the edge of one check's tolerance
+    @pytest.mark.parametrize("utilities, capacity, error", [
+        # fails the concavity and the self-concordance check
+        ([QuadraticUtility(1.0, -1.0)], 1.0, "utility 0 is not strictly concave"),
+        ([LogUtility(2.0), LogUtility(0.5), QuadraticUtility(1.0, -1.0)], 1.0,
+         "utility 1 fails the self-concordance check"),
+        # the break point 1.1 lies between the grid point 1.0 and the capacity
+        ([QuadraticUtility(1.1, 1.0)], 1.2, "utility 0 is decreasing below"),
+        ([LogUtility(1 - 1e-8)], 1.0, "utility 0 fails the self-concordance check"),
+        ([LogUtility(1 - 1e-10)], 1.0, None),
+        ([QuadraticUtility(1.0, 0.0)], 1.0, "utility 0 is not strictly concave"),
+        # U'(cap) = -1.1e-16, rounding at the break point
+        ([QuadraticUtility(0.7798108737472333, 0.01667397938937498)], 46.76813228185623, None),
+    ], ids=["both-fail", "first-of-two", "break-above-grid", "log-below-1", "log-near-1",
+            "flat", "break-at-cap"])
+    def test_utility_check_edges(self, utilities, capacity, error):
+        routing = np.ones((1, len(utilities)))
+        if error is None:
+            build_network(routing, [capacity], utilities)
+        else:
+            with pytest.raises(InvalidNetworkError, match=f"^{error}"):
+                build_network(routing, [capacity], utilities)
+
+    @pytest.mark.parametrize("routing, capacities, utilities, error", [
+        ([1, 1], [1.0], [LogUtility()] * 2, "routing must be a 2-d incidence matrix"),
+        ([[1, 2]], [1.0], [LogUtility()] * 2, "routing entries must be 0 or 1"),
+        ([[1, 1]], [1.0, 2.0], [LogUtility()] * 2, "expected 1 capacities"),
+        ([[1, 1]], [1.0], [LogUtility()], "expected 2 utilities"),
+    ], ids=["not-2d", "not-0-1", "capacity-count", "utility-count"])
+    def test_malformed_arrays_rejected(self, routing, capacities, utilities, error):
+        with pytest.raises(InvalidNetworkError, match=f"^{error}"):
+            build_network(routing, capacities, utilities)
 
     def test_quadratic_valid_when_monotone_on_range(self):
         net = build_network([[1]], [2.0], [QuadraticUtility(slope=1.0, curvature=0.25)])
@@ -318,49 +351,14 @@ class TestEvaluation:
         assert eval_h(net, x) == pytest.approx(eval_f(prob, x), rel=1e-12)
 
 
-def draw_utility(rng, s_max):
-    """A log or quadratic utility; half of them fail one of the checks."""
-    slope = float(rng.uniform(0.5, 2.0))
-    kind = rng.integers(8)
-    if kind < 3:
-        return LogUtility(float(rng.uniform(1.0, 20.0)))
-    if kind < 5:  # break point above the capacities
-        return QuadraticUtility(slope, slope / (s_max * rng.uniform(1.01, 3.0)))
-    return [
-        LogUtility(float(rng.uniform(0.01, 0.999))),  # fails self-concordance
-        LogUtility(float(-rng.uniform(0.5, 5.0))),  # not concave
-        QuadraticUtility(slope, slope / (s_max * rng.uniform(0.1, 0.99))),  # decreasing
-    ][kind - 5]
-
-
-def test_utility_checks_match_the_per_utility_oracle():
-    # the first failing utility and its first failing check name the error
-    rng = np.random.default_rng(41)
-    outcomes = set()
-    for _ in range(300):
-        S = int(rng.integers(1, 7))
-        caps = [float(10.0 ** rng.uniform(-2, 3))]
-        utilities = [draw_utility(rng, caps[0]) for _ in range(S)]
-        try:
-            for i, u in enumerate(utilities):
-                check_utility_oracle(u, caps[0], i)
-            expected = None
-        except InvalidNetworkError as exc:
-            expected = str(exc)
-        try:
-            build_network(np.ones((1, S)), caps, utilities)
-            got = None
-        except InvalidNetworkError as exc:
-            got = str(exc)
-        assert got == expected
-        outcomes.add(got and got.split(maxsplit=2)[2][:12])
-    # accepted, and each check failed
-    assert outcomes == {None, "is not stric", "fails the se", "is decreasin"}
-
 class TestPrimalVector:
     def test_checked_rejects_nonpositive(self, two_flow_network):
         with pytest.raises(ValueError, match="positive"):
             PrimalVector.checked(two_flow_network, np.zeros(7))
+
+    def test_checked_rejects_wrong_length(self, two_flow_network):
+        with pytest.raises(ValueError, match="wrong length"):
+            PrimalVector.checked(two_flow_network, np.ones(6))
 
     def test_checked_rejects_infeasible(self, two_flow_network):
         with pytest.raises(ValueError, match="flow"):

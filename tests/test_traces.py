@@ -1,5 +1,5 @@
-"""Every Newton step pinned: the trace of each newton_solve in
-tests/data/traces_seed7.json, field by field.
+"""Every Newton step pinned: the trace of each newton_solve, and of each
+exact-method solve, in tests/data/traces_seed7.json, field by field.
 
 The golden study file pins each study row's totals, so a change that moves
 one step without moving a total passes it. This file holds, for seed-7
@@ -8,7 +8,12 @@ two-pass solve's pass 2 runs on a rescaled utility), the mixed-utility
 network under four configs and the benchmark's scale-ladder solves, every
 trace column, each step's certificate and dual-graph report, the stored
 iterates of one solve, the run's message totals and its final point and
-objectives. Rewrite it, a change of test data, with
+objectives. For the exact method it holds every (k, decrement, stepsize)
+row of reference_solve with its final point, objectives and convergence
+flag, on study trials 0-5, trial 2 at both utility scales, the
+mixed-utility network at barrier weights 1 and 2 and one warm start at
+tol 1e-10, and the optima reference_optima returns for trials 0-5 and the
+mixed-utility network. Rewrite it, a change of test data, with
 
     PYTHONPATH=src python tests/test_traces.py
 """
@@ -18,7 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from netnewton import BarrierProblem, SolverConfig, newton_solve, random_network
+from netnewton import (
+    BarrierProblem,
+    SolverConfig,
+    newton_solve,
+    random_network,
+    reference_optima,
+    reference_solve,
+)
 from netnewton.solver import TRACE_COLUMNS
 
 from conftest import mixed_example
@@ -54,9 +66,10 @@ SCALED_TRIAL, SCALES = 2, (3.0, 1e3)
 # computes (one more sweep, another F, another stepsize) still moves a
 # count, a phase or a stage, which are always compared exactly, or a float
 # by far more than 1e-12 on the steps after it. There, feas_residual, itself
-# a relative residual made of rounding alone, is compared within
-# GOLDEN_RTOL absolute, as criterion 10 compares rel_error.
-_ABSOLUTE = {"feas_residual"}
+# a relative residual made of rounding alone, and the exact method's trace
+# rows, whose last decrements (near 1e-14) are rounding alone, are compared
+# within GOLDEN_RTOL absolute, as criterion 10 compares rel_error.
+_ABSOLUTE = {"feas_residual", "trace"}
 
 
 def study_networks():
@@ -111,7 +124,39 @@ def traces_record() -> dict:
     for net in ladder_networks():
         solves[f"ladder{net.num_links}x{net.num_sources}/default"] = solve_record(
             net, CONFIGS["default"])
-    return json.loads(json.dumps(solves))
+    return solves
+
+
+def exact_record(problem: BarrierProblem, x0=None, tol: float = 1e-12) -> dict:
+    """One reference_solve's steps, final point and objectives."""
+    res = reference_solve(problem, x0, tol)
+    return {"converged": res.converged, "trace": res.trace, "x": res.x.tolist(),
+            "f_final": res.f_final, "h_final": res.h_final}
+
+
+def exact_records() -> dict:
+    """Every pinned exact-method solve, keyed by instance and barrier
+    weight or scale, and every pinned reference optimum."""
+    nets, mixed = study_networks(), mixed_example()
+    solves = {f"trial{t}/default": exact_record(BarrierProblem(net, 1.0))
+              for t, net in enumerate(nets)}
+    for scale in SCALES:
+        solves[f"trial{SCALED_TRIAL}/scale{scale:g}"] = exact_record(
+            BarrierProblem(nets[SCALED_TRIAL], 1.0, scale))
+    for mu in (1.0, 2.0):
+        solves[f"mixed/mu{mu:g}"] = exact_record(BarrierProblem(mixed, mu))
+    # a central-path stage: from trial 0's optimum at scale 1 to scale 10
+    solves["trial0/warm_scale10"] = exact_record(
+        BarrierProblem(nets[0], 1.0, 10.0), solves["trial0/default"]["x"], tol=1e-10)
+    names = [f"trial{t}" for t in range(STUDY_TRIALS)] + ["mixed"]
+    optima = {name: {"x": x.tolist(), "h": h}
+              for name, (x, h) in zip(names, reference_optima(nets + [mixed]), strict=True)}
+    return {"solves": solves, "optima": optima}
+
+
+def record() -> dict:
+    """Everything the file pins, as JSON values."""
+    return json.loads(json.dumps({"solves": traces_record(), "exact": exact_records()}))
 
 
 def build() -> dict:
@@ -148,12 +193,13 @@ def test_every_newton_step_matches_golden():
             for i, (g, w) in enumerate(zip(got, want)):
                 compare(f"{where}[{i}]", g, w)
         else:
-            field = where.rsplit(".", 1)[-1]
+            field = where.rsplit(".", 1)[-1].split("[")[0]
             assert same(field, got, want), f"{where}: {got!r} != {want!r} ({mode})"
 
-    compare("solves", traces_record(), golden["solves"])
+    for key, got in record().items():
+        compare(key, got, golden[key])
 
 
 if __name__ == "__main__":
-    doc = {**build(), "solves": traces_record()}
+    doc = {**build(), **record()}
     GOLDEN_TRACES.write_text(json.dumps(doc, indent=1) + "\n")
